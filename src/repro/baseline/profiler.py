@@ -190,7 +190,7 @@ def eager_profile_report(df: DataFrame, config: dict | None = None) -> Intermedi
     # pandas.corr once per method — three independent scans, none shared
     # with the per-column work above). Kendall runs the same exact tau-b
     # kernel as the fused system, on its own sampled collect.
-    from repro.core.correlation import pearson_matrix, spearman_matrix
+    from repro.core.correlation import comoment_scan, pearson_matrix, spearman_matrix
 
     corr: dict[str, pd.DataFrame] = {}
     methods = cfg["correlation.methods"]
@@ -219,7 +219,7 @@ def eager_profile_report(df: DataFrame, config: dict | None = None) -> Intermedi
     inter["missing"] = {
         "bar": miss_bar,
         "spectrum": spectrum_pass(df, cfg["spectrum.bins"]),
-        "nullity_corr": nullity_correlation(df, miss_bar, nrows),
+        "nullity_corr": nullity_correlation(comoment_scan(df, [], df.columns)),
     }
     inter["missing"]["dendrogram"] = nullity_dendrogram(inter["missing"]["nullity_corr"])
     return inter

@@ -4,15 +4,21 @@ The paper's key optimization is expressing *all* computations of a task in
 one lazy Dask graph so shared work is computed once. The Spark analogue
 implemented here:
 
-* ``basic_stats_pass``   — every per-column aggregate for every column in a
-  **single** ``df.agg(...)`` (one scan, one job).
+* ``basic_stats_pass``   — every per-column statistic through one melted
+  ``unpivot → groupBy(column)`` aggregate per type class (numerical,
+  categorical, datetime). The aggregate list (~15 expressions) and the
+  job count do not grow with the number of columns. Moments come from
+  Spark's centred-moment aggregates, which stay exact at large offsets,
+  and the quantile sketch rides in the same aggregate.
 * ``histogram_pass``     — histograms of all numeric columns via one
   ``unpivot → groupBy(column, bin)`` (one shuffle for all columns). Bin
   edges need min/max *before* the job can be built — the Spark analogue of
-  the paper's "precompute chunk sizes before constructing the graph".
+  the paper's "precompute chunk sizes before constructing the graph" — and
+  are baked into the job as literals (``bin_index``).
 * ``value_counts_pass``  — value counts of all categorical columns via one
   ``unpivot → groupBy(column, value)``.
-* ``quantiles_pass``     — one ``approxQuantile`` call covering all columns.
+* ``quantiles_pass``     — one ``approxQuantile`` call covering all columns
+  (the stats pass sketches the report's quantiles itself).
 
 Each pass reduces the distributed frame to a tiny pandas object; everything
 downstream (KDE, Q-Q, box stats, insights) is driver-side pandas/numpy —
@@ -30,135 +36,114 @@ from pyspark.sql import functions as F
 
 from repro.core.dtypes import EDAType
 
-_SEP = "\x1f"  # alias separator: cannot occur in user column names
-
 #: quantile probabilities shared by the stats table, box plot, and Q-Q plot
 #: (paper §4.2: "the quantiles are computed once and distributed to each
 #: visualization").
 STATS_QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 
+_INF = (float("inf"), float("-inf"))
 
-def _clean(df: DataFrame, col: str, eda_type: EDAType) -> Column:
-    """NaN/±inf → null for float columns so moment aggregates stay finite.
+
+def finite(c: Column) -> Column:
+    """``c`` as double with NaN/±inf nulled: the values moments and bins use.
 
     Mirrors pandas semantics (NaN is missing) that Pandas-profiling and
     Missingno assume; infinity is counted separately by the stats pass.
     """
-    c = F.col(col)
-    if eda_type is EDAType.NUMERICAL:
-        dtype = dict(df.dtypes)[col]
-        if dtype in ("double", "float"):
-            return F.when(F.isnan(c) | c.isin(float("inf"), float("-inf")), None).otherwise(c)
-        return c
-    return c
+    raw = c.cast("double")
+    return F.when(F.isnan(raw) | raw.isin(*_INF), None).otherwise(raw)
+
+
+def missing_exprs(df: DataFrame, cols: list[str]) -> list[Column]:
+    """Per column, 1 when the cell is missing (null, or NaN for float columns).
+
+    The dtypes are resolved once for all ``cols``.
+    """
+    dtypes = dict(df.dtypes)
+    out = []
+    for col in cols:
+        c = F.col(col)
+        missing = c.isNull() | F.isnan(c) if dtypes[col] in ("double", "float") else c.isNull()
+        out.append(missing.cast("long"))
+    return out
 
 
 def missing_expr(df: DataFrame, col: str) -> Column:
     """1 when the cell is missing (null, or NaN for float columns)."""
-    c = F.col(col)
-    dtype = dict(df.dtypes)[col]
-    if dtype in ("double", "float"):
-        return (c.isNull() | F.isnan(c)).cast("long")
-    return c.isNull().cast("long")
+    return missing_exprs(df, [col])[0]
 
 
-def _stat_exprs(
-    df: DataFrame,
-    col: str,
-    eda_type: EDAType,
-    quantile_probs: tuple[float, ...] | None = None,
-) -> list[Column]:
-    """All aggregate expressions for one column, aliased ``col<SEP>stat``."""
-    c = _clean(df, col, eda_type)
+def _melted_stats(
+    df: DataFrame, cols: list[str], cast: str, aggs: dict[str, Column]
+) -> list:
+    """One ``unpivot → groupBy(column).agg(aggs)`` over ``cols`` cast to ``cast``.
 
-    def a(stat: str, expr: Column) -> Column:
-        return expr.alias(f"{col}{_SEP}{stat}")
-
-    exprs = [
-        a("count", F.count(c)),
-        a("nmissing", F.sum(missing_expr(df, col))),
-        # rsd=0.05 (engine default): tighter precisions blow up the HLL++
-        # register buffers (~2^18 longs per column) and turn this one-scan
-        # agg into minutes on small data. Exact distinct counts for
-        # categoricals come from value_counts_pass anyway.
-        a("distinct", F.approx_count_distinct(c)),
-    ]
-    if eda_type is EDAType.NUMERICAL:
-        raw = F.col(col).cast("double")
-        # Moments come from raw power sums (s1..s4) finished on the driver,
-        # not from F.stddev/F.skewness/F.kurtosis: those declarative
-        # aggregates expand to huge Welford expression trees, and a few
-        # hundred of them in one fused agg exhausts the JVM code cache.
-        # Four plain sums per column keep the codegen unit tiny — and the
-        # driver-side finishing is exactly the paper's pandas-phase.
-        cd = c.cast("double")
-        exprs += [
-            a("min", F.min(c).cast("double")),
-            a("max", F.max(c).cast("double")),
-            a("sum", F.sum(cd)),
-            a("sum2", F.sum(cd * cd)),
-            a("sum3", F.sum(cd * cd * cd)),
-            a("sum4", F.sum(cd * cd * cd * cd)),
-            a("nzero", F.sum((c == 0).cast("long"))),
-            a("nnegative", F.sum((c < 0).cast("long"))),
-            a("ninfinite", F.sum(raw.isin(float("inf"), float("-inf")).cast("long"))),
-        ]
-        if quantile_probs:
-            # percentile_approx is an imperative (buffer-based) aggregate:
-            # folding the quantile sketch into the same scan is free of the
-            # codegen-size issues the declarative moments had, and removes
-            # a whole approxQuantile pass (quantiles shared by the stats
-            # table, box plot and Q-Q plot — the paper's sharing example).
-            exprs.append(a("qsketch", F.percentile_approx(cd, list(quantile_probs), 10_000)))
-    elif eda_type is EDAType.CATEGORICAL:
-        ln = F.length(F.col(col).cast("string"))
-        exprs += [
-            a("len_min", F.min(ln).cast("double")),
-            a("len_max", F.max(ln).cast("double")),
-            a("len_mean", F.mean(ln).cast("double")),
-        ]
-    elif eda_type is EDAType.DATETIME:
-        exprs += [
-            a("min_ts", F.date_format(F.min(c), "yyyy-MM-dd HH:mm:ss")),
-            a("max_ts", F.date_format(F.max(c), "yyyy-MM-dd HH:mm:ss")),
-        ]
-    return exprs
-
-
-def _finish_moments(stats: dict[str, object]) -> None:
-    """Derive mean/std/skew/kurt from the power sums, in place.
-
-    Matches Spark semantics: ``std`` is the sample stddev (ddof=1), ``skew``
-    is g1 = m3/m2^1.5 (population), ``kurt`` is excess kurtosis m4/m2²−3.
+    The melted frame has columns ``column`` and ``raw``; the aggregate list
+    is the same whatever the number of columns, so the codegen unit and the
+    py4j expression building stay fixed as the table widens.
     """
-    n = int(stats.get("count") or 0)
-    s1, s2, s3, s4 = (stats.pop(k, None) for k in ("sum", "sum2", "sum3", "sum4"))
-    stats["sum"] = s1
-    if n == 0 or s1 is None:
-        stats.update({"mean": None, "std": None, "skew": None, "kurt": None})
-        return
-    mean = s1 / n
-    m2 = max((s2 - n * mean**2) / n, 0.0)
-    m3 = (s3 - 3 * mean * s2 + 2 * n * mean**3) / n
-    m4 = (s4 - 4 * mean * s3 + 6 * mean**2 * s2 - 3 * n * mean**4) / n
-    stats["mean"] = mean
-    stats["std"] = math.sqrt(m2 * n / (n - 1)) if n > 1 else None
-    stats["skew"] = (m3 / m2**1.5) if m2 > 0 else float("nan")
-    stats["kurt"] = (m4 / m2**2 - 3.0) if m2 > 0 else float("nan")
+    melted = df.select([F.col(c).cast(cast).alias(c) for c in cols]).unpivot(
+        [], cols, "column", "raw"
+    )
+    exprs = [F.count(F.lit(1)).alias("nrows")] + [e.alias(k) for k, e in aggs.items()]
+    return melted.groupBy("column").agg(*exprs).collect()
 
 
-#: Upper bound on aggregate expressions per fused agg job. Above this the
-#: generated class gets large enough to stress janino/JIT; chunking keeps
-#: the job count at ceil(exprs/cap) — still O(1)-ish scans, never per-column.
-_AGG_EXPR_CAP = 256
+def _numeric_aggs(quantile_probs: tuple[float, ...] | None) -> dict[str, Column]:
+    raw = F.col("raw")
+    v = finite(raw)
+    aggs = {
+        "count": F.count(v),
+        "nmissing": F.sum((raw.isNull() | F.isnan(raw)).cast("long")),
+        # rsd=0.05 (engine default): tighter precisions blow up the HLL++
+        # register buffers (~2^18 longs per column) and turn the stats pass
+        # into minutes on small data. Exact distinct counts for categoricals
+        # come from value_counts_pass anyway.
+        "distinct": F.approx_count_distinct(v),
+        "min": F.min(v),
+        "max": F.max(v),
+        "nzero": F.sum((v == 0).cast("long")),
+        "nnegative": F.sum((v < 0).cast("long")),
+        "ninfinite": F.sum(raw.isin(*_INF).cast("long")),
+        "sum": F.sum(v),
+        "mean": F.avg(v),
+        # Spark's central-moment aggregates update and merge centred
+        # moments, so they stay exact at any offset (a mean of 1e9 with a
+        # std of 1 included), where raw power sums cancel catastrophically.
+        "std": F.stddev_samp(v),
+        "skew": F.skewness(v),
+        "kurt": F.kurtosis(v),
+    }
+    if quantile_probs:
+        # The quantile sketch shared by the stats table, box plot and Q-Q
+        # plot (the paper's sharing example) rides in the same aggregate.
+        probs = F.array(*[F.lit(float(p)) for p in quantile_probs])
+        aggs["quantiles"] = F.percentile_approx(v, probs, 10_000)
+    return aggs
 
 
-def _chunked_agg(df: DataFrame, exprs: list[Column]) -> dict[str, object]:
-    """``df.agg(*exprs)`` split into bounded-size codegen units."""
-    row: dict[str, object] = {}
-    for i in range(0, len(exprs), _AGG_EXPR_CAP):
-        row.update(df.agg(*exprs[i : i + _AGG_EXPR_CAP]).collect()[0].asDict())
-    return row
+def _categorical_aggs() -> dict[str, Column]:
+    raw = F.col("raw")
+    ln = F.length(raw)
+    return {
+        "count": F.count(raw),
+        "nmissing": F.sum(raw.isNull().cast("long")),
+        "distinct": F.approx_count_distinct(raw),
+        "len_min": F.min(ln).cast("double"),
+        "len_max": F.max(ln).cast("double"),
+        "len_mean": F.avg(ln),
+    }
+
+
+def _datetime_aggs() -> dict[str, Column]:
+    raw = F.col("raw")
+    return {
+        "count": F.count(raw),
+        "nmissing": F.sum(raw.isNull().cast("long")),
+        "distinct": F.approx_count_distinct(raw),
+        "min_ts": F.date_format(F.min(raw), "yyyy-MM-dd HH:mm:ss"),
+        "max_ts": F.date_format(F.max(raw), "yyyy-MM-dd HH:mm:ss"),
+    }
 
 
 def basic_stats_pass(
@@ -167,32 +152,58 @@ def basic_stats_pass(
     cols: list[str] | None = None,
     quantile_probs: tuple[float, ...] | None = None,
 ) -> dict[str, dict[str, object]]:
-    """One fused ``agg`` computing every basic statistic of every column.
+    """Every basic statistic of every column, one melted aggregate per type class.
 
-    Returns ``{column: {stat: value}}`` plus the dataset row count under the
-    pseudo-column ``__table__``. One Spark job (a couple for very wide
-    tables, see ``_AGG_EXPR_CAP``) regardless of the number of columns —
-    this is where the 4–20× of Table 2 comes from.
+    Each type class (numerical, categorical, datetime) is cast to one type,
+    unpivoted to ``(column, raw)`` and aggregated by ``column``. The number
+    of aggregate expressions (~15) and of Spark jobs depends on the type
+    classes present, not on the number of columns.
+
+    Returns ``{column: {stat: value}}`` in ``cols`` order plus the dataset
+    row count under the pseudo-column ``__table__``. Numerical columns carry
+    ``count, nmissing, distinct, min, max, nzero, nnegative, ninfinite, sum,
+    mean, std, skew, kurt`` (std is the sample stddev, skew and kurt the
+    population g1 and excess g2, both NaN when the column is constant) and,
+    with ``quantile_probs``, ``quantiles`` as ``{p: value}``. Categorical
+    columns carry ``count, nmissing, distinct, len_min, len_max, len_mean``;
+    datetime columns ``count, nmissing, distinct, min_ts, max_ts``. A
+    statistic over no values is None.
     """
     cols = list(cols) if cols is not None else list(types)
-    exprs: list[Column] = [F.count(F.lit(1)).alias(f"__table__{_SEP}nrows")]
+    classes = (
+        (EDAType.NUMERICAL, "double", lambda: _numeric_aggs(quantile_probs)),
+        (EDAType.CATEGORICAL, "string", _categorical_aggs),
+        (EDAType.DATETIME, "timestamp", _datetime_aggs),
+    )
+    rows: dict[str, dict[str, object]] = {}
+    empty: dict[str, dict[str, object]] = {}
+    nrows = None
+    for eda_type, cast, make_aggs in classes:
+        members = [c for c in cols if types[c] is eda_type]
+        if not members:
+            continue
+        aggs = make_aggs()
+        for row in _melted_stats(df, members, cast, aggs):
+            stats = row.asDict()
+            nrows = stats.pop("nrows")
+            rows[stats.pop("column")] = stats
+        # what a column without rows gets: counts 0, every other stat None
+        empty.update({c: {**dict.fromkeys(aggs), "count": 0, "distinct": 0} for c in members})
+    if nrows is None:  # no columns, or no rows: the groupBy returned nothing
+        nrows = df.count() if not cols else 0
+    out: dict[str, dict[str, object]] = {"__table__": {"nrows": nrows}}
     for col in cols:
-        exprs += _stat_exprs(df, col, types[col], quantile_probs)
-    row = _chunked_agg(df, exprs)
-    out: dict[str, dict[str, object]] = {}
-    for key, value in row.items():
-        col, stat = key.split(_SEP, 1)
-        out.setdefault(col, {})[stat] = value
-    for col in cols:
+        stats = rows.get(col, empty[col])
         if types[col] is EDAType.NUMERICAL:
-            _finish_moments(out[col])
+            if stats["count"]:
+                # one value or a constant column: no skew/kurtosis to take
+                for k in ("skew", "kurt"):
+                    if stats[k] is None:
+                        stats[k] = float("nan")
             if quantile_probs:
-                sketch = out[col].pop("qsketch", None)
-                out[col]["quantiles"] = (
-                    {p: q for p, q in zip(quantile_probs, sketch)}
-                    if sketch is not None
-                    else {p: None for p in quantile_probs}
-                )
+                sketch = stats["quantiles"] or [None] * len(quantile_probs)
+                stats["quantiles"] = dict(zip(quantile_probs, sketch))
+        out[col] = stats
     return out
 
 
@@ -211,13 +222,30 @@ def quantiles_pass(
     """
     if not num_cols:
         return {}
-    cleaned = df.select(
-        [_clean(df, c, types[c]).cast("double").alias(c) for c in num_cols]
-    )
+    cleaned = df.select([finite(F.col(c)).alias(c) for c in num_cols])
     res = cleaned.approxQuantile(num_cols, list(probs), rel_err)
     return {
         c: {p: q for p, q in zip(probs, qs)} for c, qs in zip(num_cols, res)
     }
+
+
+def bin_index(value: Column, mn: float, mx: float, bins: int) -> Column:
+    """Equi-width bin of ``value`` over ``[mn, mx]``, the edges baked in as literals.
+
+    A constant column (``mn == mx``) has the single bin 0; the last bin is
+    closed on the right. ``F.least`` skips nulls, so a missing value is
+    kept null here rather than landing in the last bin.
+    """
+    if mx == mn:
+        return F.when(value.isNotNull(), F.lit(0))
+    width = (mx - mn) / bins
+    index = F.least(F.floor((value - F.lit(mn)) / F.lit(width)).cast("int"), F.lit(bins - 1))
+    return F.when(value.isNotNull(), index)
+
+
+def bin_edges(mn: float, mx: float, bins: int) -> np.ndarray:
+    """The edges ``bin_index`` bins over: ``bins + 1`` of them, or ``[mn, mn]``."""
+    return np.linspace(mn, mx, bins + 1) if mx > mn else np.array([mn, mn])
 
 
 def histogram_pass(
@@ -246,40 +274,23 @@ def histogram_pass(
     }
     if not usable:
         return out
-
-    spark = df.sparkSession
-    meta = spark.createDataFrame(
-        [(c, float(minmax[c][0]), float(minmax[c][1])) for c in usable],
-        "column STRING, mn DOUBLE, mx DOUBLE",
-    )
-    stacked = (
-        df.select([_clean(df, c, types[c]).cast("double").alias(c) for c in usable])
-        .unpivot([], usable, "column", "value")
-        .where(F.col("value").isNotNull())
-    )
-    width = (F.col("mx") - F.col("mn")) / F.lit(bins)
-    bin_expr = F.when(F.col("mx") == F.col("mn"), F.lit(0)).otherwise(
-        F.least(
-            F.floor((F.col("value") - F.col("mn")) / width).cast("int"),
-            F.lit(bins - 1),
-        )
-    )
+    edges = {c: bin_edges(float(minmax[c][0]), float(minmax[c][1]), bins) for c in usable}
     counts_pdf = (
-        stacked.join(F.broadcast(meta), "column")
-        .select("column", bin_expr.alias("bin"))
+        df.select([
+            bin_index(finite(F.col(c)), edges[c][0], edges[c][-1], bins).alias(c)
+            for c in usable
+        ])
+        .unpivot([], usable, "column", "bin")
+        .where(F.col("bin").isNotNull())
         .groupBy("column", "bin")
         .count()
         .toPandas()
     )
     for c in usable:
-        mn, mx = float(minmax[c][0]), float(minmax[c][1])
-        edges = np.linspace(mn, mx, bins + 1) if mx > mn else np.array([mn, mn])
-        n_bins = bins if mx > mn else 1
-        counts = np.zeros(n_bins, dtype="int64")
+        counts = np.zeros(len(edges[c]) - 1, dtype="int64")
         sub = counts_pdf[counts_pdf["column"] == c]
-        idx = sub["bin"].to_numpy(dtype="int64")
-        counts[idx] = sub["count"].to_numpy(dtype="int64")
-        out[c] = (counts, edges)
+        counts[sub["bin"].to_numpy(dtype="int64")] = sub["count"].to_numpy(dtype="int64")
+        out[c] = (counts, edges[c])
     return out
 
 

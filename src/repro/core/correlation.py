@@ -6,10 +6,13 @@ benchmark and are likewise absent here).
 
 Fusion strategy:
 
-* Pearson — all m(m−1)/2 pairwise ``F.corr`` aggregates in **one**
-  ``df.agg`` (single scan; pairwise-complete like ``pandas.DataFrame.corr``).
+* Pearson — one ``mapInPandas`` co-moment scan (``comoment_scan``): each
+  partition emits centred m×m co-moment matrices, merged pairwise on the
+  driver (single scan; pairwise-complete like ``pandas.DataFrame.corr``).
+  The same scan carries the missing indicators the nullity heatmap needs,
+  so a report gets Pearson and nullity correlation from one pass.
 * Spearman — one rank-transform projection (average ranks with tie
-  correction, per column) followed by the same fused Pearson agg on ranks.
+  correction, per column) followed by the same Pearson on ranks.
   Columns are ranked once over their own non-nulls; under missing data this
   approximates pandas' per-pair re-ranking (documented in DESIGN.md).
 * Kendall — exact tau-b on a seeded, size-capped sample via the
@@ -17,6 +20,10 @@ Fusion strategy:
   arrays make the m×m matrix O(m·k² + m²·pairs) instead of O(m²·k²).
 """
 from __future__ import annotations
+
+import functools
+import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -66,76 +73,148 @@ def ranked(df: DataFrame, cols: list[str]) -> DataFrame:
     return clean.select(exprs)
 
 
-def _comoment_partial(cols: list[str]):
-    """mapInPandas kernel: per-partition masked co-moment matrices.
+def _comoment_kernel(m: int):
+    """The co-moment ``mapInPandas`` kernel over ``m`` double columns, and its merge.
 
-    For columns i, j (over rows where *both* are present — pandas'
-    pairwise-complete semantics): N = pair counts, S[i,j] = Σ x_j,
-    Q[i,j] = Σ x_j², P[i,j] = Σ x_i·x_j. Each partition emits one pickled
-    4-tuple; the driver sums partials and finishes the correlation.
-    Numpy matmuls replace m(m−1)/2 ``F.corr`` aggregates whose generated
-    code would exhaust the JVM code cache on wide tables.
+    Returns ``(kernel, merge)``. A partial is ``(rows, N, MU, M2, C)``; for
+    columns i, j over the rows where both are finite (pandas'
+    pairwise-complete semantics):
+
+    * ``N[i, j]``  — the number of such rows;
+    * ``MU[i, j]`` — the mean of column i over them;
+    * ``M2[i, j]`` — Σ (x_i − MU[i, j])² over them;
+    * ``C[i, j]``  — Σ (x_i − MU[i, j])·(x_j − MU[j, i]) over them.
+
+    Each Arrow batch is centred per column before any product is formed,
+    and batches and partitions are combined with the pairwise updates of
+    Chan, Golub & LeVeque (1983) for M2 and Pébay (SAND2008-6212) for C, so
+    no raw power sum ever cancels. Numpy matmuls replace m² Catalyst
+    aggregates whose generated code would exhaust the JVM code cache.
+
+    Everything the kernel calls is defined in here: cloudpickle ships a
+    closure by value but a module-level function by reference, and the
+    executors need not have this package installed.
     """
-    import pickle
 
-    m = len(cols)
+    def moments(X):
+        mask = np.isfinite(X)
+        Mf = mask.astype("float64")
+        cnt = Mf.sum(axis=0)
+        with np.errstate(invalid="ignore"):
+            # centre on the first finite value plus the mean offset from
+            # it: a constant column centres to exact zeros
+            first = np.where(cnt > 0, X[mask.argmax(axis=0), np.arange(m)], 0.0)
+            centre = first + np.where(mask, X - first, 0.0).sum(axis=0) / np.maximum(cnt, 1)
+            Z = np.where(mask, X - centre, 0.0)
+        N = Mf.T @ Mf
+        S = Z.T @ Mf  # S[i, j]: Σ z_i over the rows where j is finite too
+        d = np.divide(S, N, out=np.zeros_like(S), where=N > 0)
+        return X.shape[0], N, centre[:, None] + d, (Z * Z).T @ Mf - S * d, Z.T @ Z - S * d.T
+
+    def merge(a, b):
+        rows_a, Na, MUa, M2a, Ca = a
+        rows_b, Nb, MUb, M2b, Cb = b
+        N = Na + Nb
+        fb = np.divide(Nb, N, out=np.zeros_like(N), where=N > 0)
+        D = MUb - MUa
+        W = Na * fb  # Na·Nb / N
+        MU = np.where(Na > 0, MUa + D * fb, MUb)
+        return rows_a + rows_b, N, MU, M2a + M2b + D * D * W, Ca + Cb + D * D.T * W
 
     def kernel(batches):
-        N = np.zeros((m, m))
-        S = np.zeros((m, m))
-        Q = np.zeros((m, m))
-        P = np.zeros((m, m))
+        acc = None
         for pdf in batches:
-            X = pdf[cols].to_numpy(dtype="float64", na_value=np.nan)
-            mask = np.isfinite(X)
-            Xz = np.where(mask, X, 0.0)
-            Mf = mask.astype("float64")
-            N += Mf.T @ Mf
-            S += Mf.T @ Xz
-            Q += Mf.T @ (Xz * Xz)
-            P += Xz.T @ Xz
-        yield pd.DataFrame({"payload": [pickle.dumps((N, S, Q, P))]})
+            if len(pdf) == 0:
+                continue
+            part = moments(pdf.to_numpy(dtype="float64", na_value=np.nan))
+            acc = part if acc is None else merge(acc, part)
+        if acc is not None:
+            yield pd.DataFrame({"payload": [pickle.dumps(acc)]})
 
-    return kernel
+    return kernel, merge
+
+
+@dataclass
+class CoMoments:
+    """Merged pairwise co-moments of value columns and missing indicators.
+
+    Positions ``0 … len(cols)-1`` of the m×m arrays are the value columns,
+    the rest the 0/1 missing indicators of ``indicators``; see
+    ``_comoment_kernel`` for what ``n``, ``mean``, ``m2`` and ``c`` hold.
+    """
+
+    cols: list[str]
+    indicators: list[str]
+    nrows: int
+    n: np.ndarray
+    mean: np.ndarray
+    m2: np.ndarray
+    c: np.ndarray
+
+    def _corr(self, pos: list[int], labels: list[str]) -> pd.DataFrame:
+        ix = np.ix_(pos, pos)
+        n, m2, c = self.n[ix], self.m2[ix], self.c[ix]
+        ok = (n >= 2) & (m2 > 0) & (m2.T > 0)
+        corr = np.full(n.shape, np.nan)
+        corr[ok] = c[ok] / np.sqrt(m2[ok] * m2.T[ok])
+        np.fill_diagonal(corr, 1.0)
+        return pd.DataFrame(np.clip(corr, -1.0, 1.0), index=labels, columns=labels)
+
+    def pearson(self) -> pd.DataFrame:
+        """Pairwise-complete Pearson matrix of the value columns."""
+        return self._corr(list(range(len(self.cols))), self.cols)
+
+    def missing(self) -> pd.Series:
+        """Missing cells per indicator column: its indicator's mean × rows."""
+        k = len(self.cols) + np.arange(len(self.indicators))
+        counts = np.rint(self.mean[k, k] * self.n[k, k]).astype("int64")
+        return pd.Series(counts, index=self.indicators)
+
+    def nullity(self, cols: list[str]) -> pd.DataFrame:
+        """Pearson matrix of the missing indicators of ``cols``."""
+        pos = {c: len(self.cols) + i for i, c in enumerate(self.indicators)}
+        return self._corr([pos[c] for c in cols], cols)
+
+
+def comoment_scan(
+    df: DataFrame, cols: list[str], indicators: list[str] = ()
+) -> CoMoments:
+    """Co-moments of ``cols`` and of the missing indicators of ``indicators``.
+
+    One ``mapInPandas`` scan whatever the number of columns: Pearson and
+    nullity correlation, the row count and the missing counts all come out
+    of it. NaN/±inf values are left out pairwise; an indicator is 1 where
+    the cell is null, or NaN in a float column.
+    """
+    cols, indicators = list(cols), list(indicators)
+    exprs = [F.col(c).cast("double") for c in cols]
+    exprs += [e.cast("double") for e in compute.missing_exprs(df, indicators)]
+    m = len(exprs)
+    kernel, merge = _comoment_kernel(m)
+    rows = (
+        df.select([e.alias(f"_{i}") for i, e in enumerate(exprs)])
+        .mapInPandas(kernel, "payload BINARY")
+        .collect()
+    )
+    zero = np.zeros((m, m))
+    nrows, n, mean, m2, c = functools.reduce(
+        merge, (pickle.loads(bytes(r["payload"])) for r in rows), (0, zero, zero, zero, zero)
+    )
+    return CoMoments(cols, indicators, int(nrows), n, mean, m2, c)
 
 
 def pearson_matrix(df: DataFrame, cols: list[str]) -> pd.DataFrame:
     """m×m pairwise-complete Pearson matrix in one distributed scan.
 
     The Spark phase reduces the frame to per-partition co-moment matrices
-    (numpy, no Catalyst codegen); the driver phase (pandas/numpy) turns
-    summed co-moments into correlations — the paper's two-phase split.
+    (numpy, no Catalyst codegen); the driver phase merges them and finishes
+    the correlations — the paper's two-phase split.
     """
     if len(cols) == 0:
         return pd.DataFrame()
-    mat = pd.DataFrame(np.eye(len(cols)), index=cols, columns=cols)
     if len(cols) == 1:
-        return mat
-    import pickle
-
-    clean = _clean_numeric(df, cols)
-    rows = clean.mapInPandas(_comoment_partial(cols), "payload BINARY").collect()
-    if not rows:
-        mat.iloc[:, :] = np.nan
-        np.fill_diagonal(mat.values, 1.0)
-        return mat
-    N = S = Q = P = None
-    for r in rows:
-        n, s, q, p = pickle.loads(bytes(r["payload"]))
-        N = n if N is None else N + n
-        S = s if S is None else S + s
-        Q = q if Q is None else Q + q
-        P = p if P is None else P + p
-    # pair (a,b): n=N[a,b], Σx_b=S[a,b], Σx_a=S[b,a], Σx_b²=Q[a,b], …
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cov = N * P - S.T * S            # n·Σab − Σa·Σb
-        var_a = N * Q.T - S.T * S.T      # n·Σa² − (Σa)²
-        var_b = N * Q - S * S
-        denom = np.sqrt(np.maximum(var_a, 0.0) * np.maximum(var_b, 0.0))
-        corr = np.where((N >= 2) & (denom > 0), cov / denom, np.nan)
-    np.fill_diagonal(corr, 1.0)
-    mat.iloc[:, :] = np.clip(corr, -1.0, 1.0)
-    return mat
+        return pd.DataFrame(np.eye(1), index=cols, columns=cols)
+    return comoment_scan(df, cols).pearson()
 
 
 #: Cell budget below which the Spearman rank transform runs on the driver.

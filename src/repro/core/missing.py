@@ -22,7 +22,7 @@ from pyspark.sql import functions as F
 from repro.core import compute
 from repro.core.compute import missing_expr
 from repro.core.config import Config
-from repro.core.correlation import pearson_matrix
+from repro.core.correlation import CoMoments, comoment_scan
 from repro.core.dtypes import EDAType, detect_types
 from repro.core.insights import missing_insights
 from repro.core.intermediates import EDAResult, Intermediates
@@ -30,16 +30,6 @@ from repro.core.render import render
 from repro.substrate import numutils
 from repro.substrate.cluster import cluster_order, linkage_average
 from repro.substrate.sparkutils import null_indicators, with_row_index
-
-
-def missing_counts_pass(df: DataFrame) -> tuple[int, pd.Series]:
-    """(row count, missing count per column) in one fused aggregation."""
-    exprs = [F.count(F.lit(1)).alias("\x1fnrows")] + [
-        F.sum(missing_expr(df, c)).alias(c) for c in df.columns
-    ]
-    row = df.agg(*exprs).collect()[0].asDict()
-    nrows = int(row.pop("\x1fnrows"))
-    return nrows, pd.Series({c: int(v or 0) for c, v in row.items()})
 
 
 def spectrum_pass(df: DataFrame, bins: int, nrows: int | None = None) -> pd.DataFrame:
@@ -68,17 +58,19 @@ def spectrum_pass(df: DataFrame, bins: int, nrows: int | None = None) -> pd.Data
     return out.rename(columns={"__bucket": "segment"})
 
 
-def nullity_correlation(df: DataFrame, miss: pd.Series, nrows: int) -> pd.DataFrame:
+def nullity_correlation(moments: CoMoments) -> pd.DataFrame:
     """Pearson correlation of missingness indicators (Missingno heatmap).
 
-    Only columns that are partially missing participate — constant
-    indicators (never / always missing) have zero variance, exactly as
-    Missingno excludes them.
+    ``moments`` is a ``comoment_scan`` carrying the indicators. Only
+    columns that are partially missing participate — constant indicators
+    (never / always missing) have zero variance, exactly as Missingno
+    excludes them.
     """
-    cols = [c for c in miss.index if 0 < miss[c] < nrows]
+    miss = moments.missing()
+    cols = [c for c in moments.indicators if 0 < miss[c] < moments.nrows]
     if len(cols) < 2:
         return pd.DataFrame(index=cols, columns=cols, dtype="float64")
-    return pearson_matrix(null_indicators(df, cols), cols)
+    return moments.nullity(cols)
 
 
 def nullity_dendrogram(corr: pd.DataFrame) -> dict[str, object]:
@@ -94,14 +86,19 @@ def nullity_dendrogram(corr: pd.DataFrame) -> dict[str, object]:
 
 
 def compute_missing(df: DataFrame, cfg: Config) -> Intermediates:
-    """Intermediates for ``plot_missing(df)``."""
-    nrows, miss = missing_counts_pass(df)
+    """Intermediates for ``plot_missing(df)``.
+
+    The row count, the missing counts and the nullity correlation come out
+    of one co-moment scan over the missing indicators.
+    """
+    moments = comoment_scan(df, [], df.columns)
+    nrows, miss = moments.nrows, moments.missing()
     inter = Intermediates(task="missing")
     inter["nrows"] = nrows
     inter["bar"] = miss
     inter["missing_rate"] = (miss / nrows) if nrows else miss.astype("float64")
     inter["spectrum"] = spectrum_pass(df, cfg["spectrum.bins"], nrows)
-    corr = nullity_correlation(df, miss, nrows)
+    corr = nullity_correlation(moments)
     inter["nullity_corr"] = corr
     inter["dendrogram"] = nullity_dendrogram(corr)
     return inter
@@ -128,32 +125,17 @@ def _before_after_numeric(
     out: dict[str, pd.DataFrame] = {}
     if not usable:
         return out
-    spark = df.sparkSession
-    meta = spark.createDataFrame(
-        [(c, float(minmax[c][0]), float(minmax[c][1])) for c in usable],
-        "column STRING, mn DOUBLE, mx DOUBLE",
-    )
-    stacked = (
-        df.withColumn("__dropped", dropped.cast("int"))
-        .select(
-            "__dropped",
+    edges = {c: compute.bin_edges(float(minmax[c][0]), float(minmax[c][1]), bins) for c in usable}
+    agg = (
+        df.select(
+            dropped.cast("int").alias("__dropped"),
             *[
-                F.when(
-                    F.isnan(F.col(c).cast("double")), None
-                ).otherwise(F.col(c).cast("double")).alias(c)
+                compute.bin_index(compute.finite(F.col(c)), edges[c][0], edges[c][-1], bins).alias(c)
                 for c in usable
             ],
         )
-        .unpivot(["__dropped"], usable, "column", "value")
-        .where(F.col("value").isNotNull())
-        .join(F.broadcast(meta), "column")
-    )
-    width = (F.col("mx") - F.col("mn")) / F.lit(bins)
-    bin_expr = F.when(F.col("mx") == F.col("mn"), F.lit(0)).otherwise(
-        F.least(F.floor((F.col("value") - F.col("mn")) / width).cast("int"), F.lit(bins - 1))
-    )
-    agg = (
-        stacked.select("column", bin_expr.alias("bin"), "__dropped")
+        .unpivot(["__dropped"], usable, "column", "bin")
+        .where(F.col("bin").isNotNull())
         .groupBy("column", "bin")
         .agg(
             F.count(F.lit(1)).alias("before"),
@@ -162,8 +144,7 @@ def _before_after_numeric(
         .toPandas()
     )
     for c in usable:
-        mn, mx = float(minmax[c][0]), float(minmax[c][1])
-        n_bins = bins if mx > mn else 1
+        n_bins = len(edges[c]) - 1
         frame = pd.DataFrame(
             {
                 "bin": np.arange(n_bins),
@@ -175,9 +156,7 @@ def _before_after_numeric(
         idx = sub["bin"].to_numpy(dtype="int64")
         frame.loc[idx, "before"] = sub["before"].to_numpy(dtype="int64")
         frame.loc[idx, "after"] = sub["after"].to_numpy(dtype="int64")
-        frame.attrs["edges"] = (
-            np.linspace(mn, mx, bins + 1) if mx > mn else np.array([mn, mn])
-        )
+        frame.attrs["edges"] = edges[c]
         out[c] = frame
     return out
 
@@ -267,10 +246,8 @@ def compute_missing_pair(df: DataFrame, col1: str, col2: str, cfg: Config) -> In
     inter["cols"] = (col1, col2)
     t2 = types[col2]
     if t2 is EDAType.NUMERICAL:
-        mm_row = df.agg(
-            F.min(F.col(col2).cast("double")).alias("mn"),
-            F.max(F.col(col2).cast("double")).alias("mx"),
-        ).collect()[0]
+        clean2 = compute.finite(F.col(col2))
+        mm_row = df.agg(F.min(clean2).alias("mn"), F.max(clean2).alias("mx")).collect()[0]
         minmax = {col2: (mm_row["mn"], mm_row["mx"])}
         hists = _before_after_numeric(df, [col2], types, minmax, dropped, cfg["hist.bins"])
         frame = hists.get(col2, pd.DataFrame(columns=["bin", "before", "after"]))
@@ -285,9 +262,6 @@ def compute_missing_pair(df: DataFrame, col1: str, col2: str, cfg: Config) -> In
             "before": np.cumsum(inter["pdf"]["before"]),
             "after": np.cumsum(inter["pdf"]["after"]),
         }
-        clean2 = F.when(F.isnan(F.col(col2).cast("double")), None).otherwise(
-            F.col(col2).cast("double")
-        )
         box_row = df.select(
             clean2.alias("y"), dropped.alias("d")
         ).agg(

@@ -1,10 +1,11 @@
 """Overview analysis — ``plot(df)`` (paper Figure 2, row 1).
 
 Dataset statistics plus a histogram per numerical column and a bar chart
-per categorical column — computed with exactly four fused Spark jobs
-regardless of column count:
+per categorical column — computed with four fused passes regardless of
+column count:
 
-1. ``basic_stats_pass``  — every per-column aggregate, one scan;
+1. ``basic_stats_pass``  — every per-column aggregate, one melted
+   aggregate per type class;
 2. ``histogram_pass``    — all numeric histograms, one melted shuffle
    (bin edges taken from pass 1, the "precompute metadata" stage);
 3. ``value_counts_pass`` — all categorical bar charts (two actions over

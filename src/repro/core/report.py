@@ -7,18 +7,22 @@ through the fused pipeline: a fixed, small number of Spark jobs
 **independent of the column count**, with every shared intermediate
 computed exactly once:
 
-1.  one ``basic_stats_pass``       (all stats, all columns — 1 scan)
+1.  one ``basic_stats_pass``       (all stats and the stats+box+Q-Q quantile
+                                    sketch, all columns — one melted
+                                    aggregate per type class)
 2.  one duplicate-row count        (1 scan)
-3.  one ``quantiles_pass``         (stats+box+Q-Q quantiles, all numeric — 1 scan)
-4.  one ``histogram_pass``         (all numeric histograms — 1 melted shuffle;
+3.  one ``histogram_pass``         (all numeric histograms — 1 melted shuffle;
                                     bin edges from pass 1, the paper's
                                     precompute-metadata stage)
-5.  one ``value_counts_pass``      (all categorical bars — 1 melted shuffle)
-6.  one ``sample_pass``            (one seeded numeric sample shared by KDE,
+4.  one ``value_counts_pass``      (all categorical bars — 1 melted shuffle)
+5.  one ``sample_pass``            (one seeded numeric sample shared by KDE,
                                     Kendall, and sample-based interactions)
-7.  one fused Pearson aggregation  (all pairs — 1 scan)
-8.  one rank projection + fused aggregation for Spearman
-9.  spectrum + nullity-correlation jobs for the missing section
+6.  one ``comoment_scan``          (Pearson of all numeric pairs and the
+                                    nullity correlation of all columns —
+                                    1 scan)
+7.  Spearman: a driver-side rank of the numeric projection (1 collect), or
+    a distributed rank transform + co-moment scan above the cell budget
+8.  the spectrum jobs for the missing section
 
 Everything else (Q-Q, box geometry, KDE, tau-b, linkage, insights,
 rendering) is driver-side pandas/numpy over the reduced intermediates —
@@ -32,7 +36,7 @@ from pyspark.sql import DataFrame
 
 from repro.core import compute
 from repro.core.config import Config
-from repro.core.correlation import kendall_matrix, pearson_matrix, spearman_matrix
+from repro.core.correlation import comoment_scan, kendall_matrix, spearman_matrix
 from repro.core.dtypes import EDAType, detect_types
 from repro.core.insights import (
     correlation_insights,
@@ -80,10 +84,12 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
         if num_cols else pd.DataFrame()
     )
 
+    # one scan for the Pearson matrix and the nullity heatmap
+    moments = comoment_scan(df, num_cols, df.columns)
     corr: dict[str, pd.DataFrame] = {}
     methods = cfg["correlation.methods"]
     if "pearson" in methods:
-        corr["pearson"] = pearson_matrix(df, num_cols)
+        corr["pearson"] = moments.pearson()
     if "spearman" in methods:
         corr["spearman"] = spearman_matrix(df, num_cols, nrows=nrows)
     if "kendall" in methods:
@@ -92,7 +98,7 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
 
     miss_counts = pd.Series({c: int(s["nmissing"]) for c, s in col_stats.items()})
     spectrum = spectrum_pass(df, cfg["spectrum.bins"], nrows)
-    nullity = nullity_correlation(df, miss_counts, nrows)
+    nullity = nullity_correlation(moments)
     dendrogram = nullity_dendrogram(nullity)
 
     # -- pandas Computation phase (driver-side shaping) ------------------

@@ -5,8 +5,8 @@ import pytest
 
 from repro.core import plot_missing
 from repro.core.config import Config
+from repro.core.correlation import comoment_scan
 from repro.core.missing import (
-    missing_counts_pass,
     nullity_correlation,
     nullity_dendrogram,
     spectrum_pass,
@@ -51,7 +51,8 @@ class TestOverviewVariant:
             assert key in inter
 
     def test_bar_vs_oracle(self, spark, md, md_pdf):
-        nrows, miss = missing_counts_pass(md)
+        moments = comoment_scan(md, [], md.columns)
+        nrows, miss = moments.nrows, moments.missing()
         assert nrows == len(md_pdf)
         got = spark.createDataFrame(
             pd.DataFrame({"col": miss.index, "cnt": miss.to_numpy("int64")})
@@ -79,24 +80,21 @@ class TestOverviewVariant:
         assert spec.groupby("column")["n"].sum().eq(len(md_pdf)).all()
 
     def test_nullity_corr_detects_comissing(self, md, md_pdf):
-        nrows, miss = missing_counts_pass(md)
-        corr = nullity_correlation(md, miss, nrows)
+        corr = nullity_correlation(comoment_scan(md, [], md.columns))
         # a and b are missing together by construction → corr ≈ 1
         assert corr.loc["a", "b"] == pytest.approx(1.0, abs=1e-6)
         # c is independent → low correlation
         assert abs(corr.loc["a", "c"]) < 0.2
 
     def test_nullity_corr_matches_pandas(self, md, md_pdf):
-        nrows, miss = missing_counts_pass(md)
-        corr = nullity_correlation(md, miss, nrows)
+        corr = nullity_correlation(comoment_scan(md, [], md.columns))
         ref = md_pdf.isna().astype(int).corr()
         for x in corr.index:
             for y in corr.columns:
                 assert corr.loc[x, y] == pytest.approx(ref.loc[x, y], abs=1e-9)
 
     def test_dendrogram_merges_comissing_first(self, md, md_pdf):
-        nrows, miss = missing_counts_pass(md)
-        corr = nullity_correlation(md, miss, nrows)
+        corr = nullity_correlation(comoment_scan(md, [], md.columns))
         dend = nullity_dendrogram(corr)
         cols = dend["columns"]
         Z = dend["linkage"]
@@ -198,3 +196,24 @@ def test_col_errors(md):
 def test_spectrum_bins_config(md):
     r = plot_missing(md, config={"spectrum.bins": 5})
     assert r.intermediates["spectrum"]["segment"].nunique() == 5
+
+
+def test_infinite_values_are_not_binned(spark):
+    # ±inf in another numeric column is counted by the stats pass, never
+    # binned: its bin index would overflow the int cast
+    pdf = pd.DataFrame({"a": [1.0, None, 3.0, 4.0], "x": [1.0, 2.0, float("inf"), 4.0]})
+    frame = plot_missing(spark.createDataFrame(pdf), "a").intermediates["numeric"]["x"]
+    assert frame["before"].sum() == 3
+    assert frame["after"].sum() == 2
+
+
+def test_pair_target_nan_keeps_finite_edges(spark):
+    from pyspark.sql import functions as F
+
+    pdf = pd.DataFrame({"a": [1.0, None, 3.0, 4.0, 5.0], "y": [1.0, 2.0, 3.0, 4.0, 5.0]})
+    df = spark.createDataFrame(pdf)
+    df = df.withColumn("y", F.when(F.col("y") == 3.0, F.lit(float("nan"))).otherwise(F.col("y")))
+    hist = plot_missing(df, "a", "y", config={"hist.bins": 4}).intermediates["hist"]
+    assert hist.attrs["edges"].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert hist["before"].sum() == 4
+    assert hist["after"].sum() == 3

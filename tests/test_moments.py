@@ -1,0 +1,80 @@
+"""Moments and Pearson against pandas on data far from zero.
+
+A column N(offset, spread) is where moments from raw power sums cancel: at
+an offset of 1e6 they give a skew of -3374 (pandas: -0.009), at 1e9 a std
+of 0 and a NaN Pearson. Float64 holds a value near ``offset`` only to about
+eps·offset, so pandas itself drifts by ~1e-7 at 1e9; the tolerance grows
+with the offset from 1e-9 at 1e-14 per unit of offset.
+"""
+import numpy as np
+import pandas as pd
+import pytest
+
+from repro.core import compute, create_report, plot_correlation
+from repro.core.dtypes import detect_types
+
+OFFSETS = (0.0, 1e6, 1e9)
+PEARSON_ONLY = {"correlation.methods": ["pearson"]}
+
+
+def _tol(offset: float) -> float:
+    return 1e-9 + 1e-14 * offset
+
+
+@pytest.fixture(scope="module")
+def base_pdf():
+    g = np.random.default_rng(7)
+    n = 3000
+    pdf = pd.DataFrame({"x": g.gamma(2.0, 1.0, n), "z": g.normal(0.0, 1.0, n)})
+    pdf["y"] = 0.6 * pdf["x"] + g.normal(0.0, 1.0, n)
+    pdf.loc[g.random(n) < 0.05, "y"] = np.nan
+    return pdf
+
+
+@pytest.fixture(scope="module", params=OFFSETS, ids=lambda o: f"offset={o:g}")
+def shifted(request, spark, base_pdf):
+    offset = request.param
+    pdf = base_pdf + offset
+    df = spark.createDataFrame(pdf).repartition(4)
+    df.cache().count()
+    yield offset, df, pdf
+    df.unpersist()
+
+
+def _population_moments(s: pd.Series) -> tuple[float, float]:
+    """pandas' sample skew G1 and kurtosis G2 as population g1 and g2."""
+    n = len(s)
+    g1 = s.skew() * (n - 2) / np.sqrt(n * (n - 1))
+    g2 = (s.kurt() * (n - 2) * (n - 3) / (n - 1) - 6) / (n + 1)
+    return g1, g2
+
+
+def test_stats_moments_match_pandas(shifted):
+    offset, df, pdf = shifted
+    stats = compute.basic_stats_pass(df, detect_types(df))
+    tol = _tol(offset)
+    for c in pdf.columns:
+        s = pdf[c].dropna()
+        g1, g2 = _population_moments(s)
+        assert stats[c]["std"] == pytest.approx(s.std(ddof=1), rel=tol)
+        assert stats[c]["skew"] == pytest.approx(g1, abs=tol)
+        assert stats[c]["kurt"] == pytest.approx(g2, abs=tol)
+
+
+def _assert_pearson(got: pd.DataFrame, pdf: pd.DataFrame, offset: float) -> None:
+    want = pdf.corr(method="pearson")
+    got = got.reindex_like(want).to_numpy(dtype="float64")
+    assert np.isfinite(got).all()
+    assert np.abs(got - want.to_numpy()).max() <= _tol(offset)
+
+
+def test_report_pearson_matches_pandas(shifted):
+    offset, df, pdf = shifted
+    report = create_report(df, config=PEARSON_ONLY)
+    _assert_pearson(report.intermediates["correlations"]["pearson"], pdf, offset)
+
+
+def test_plot_correlation_pearson_matches_pandas(shifted):
+    offset, df, pdf = shifted
+    result = plot_correlation(df, config=PEARSON_ONLY)
+    _assert_pearson(result.intermediates["pearson"], pdf, offset)

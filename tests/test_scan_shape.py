@@ -1,0 +1,111 @@
+"""Shape of the fused scans: job counts that do not grow with width, and a
+co-moment kernel that executors can run without this package."""
+import itertools
+import os
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pandas as pd
+import pytest
+from pyspark import cloudpickle
+
+from repro.core import compute
+from repro.core.correlation import _comoment_kernel, comoment_scan
+from repro.core.dtypes import EDAType, detect_types
+
+_groups = itertools.count()
+
+
+def _frame(spark, n_num: int, n_cat: int, nrows: int = 2000):
+    g = np.random.default_rng(n_num)
+    pdf = pd.DataFrame({f"n{i}": g.normal(i, 1.0, nrows) for i in range(n_num)})
+    for i in range(n_cat):
+        pdf[f"c{i}"] = g.choice(["a", "b", "c"], nrows).astype(object)
+    pdf = pdf.mask(g.random(pdf.shape) < 0.1)
+    df = spark.createDataFrame(pdf).repartition(4)
+    df.cache().count()
+    return df
+
+
+def _jobs(spark, fn) -> int:
+    """Spark jobs ``fn`` runs, read from the status tracker under a job group."""
+    sc = spark.sparkContext
+    group = f"scan-shape-{next(_groups)}"
+    sc.setJobGroup(group, group)
+    try:
+        fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+@pytest.fixture(scope="module")
+def narrow_and_wide(spark):
+    frames = [_frame(spark, 6, 2), _frame(spark, 30, 10)]
+    yield frames
+    for df in frames:
+        df.unpersist()
+
+
+def _stats(df):
+    return compute.basic_stats_pass(df, detect_types(df), quantile_probs=compute.STATS_QUANTILES)
+
+
+def _scan(df):
+    num = [c for c, t in detect_types(df).items() if t is EDAType.NUMERICAL]
+    return comoment_scan(df, num, df.columns)
+
+
+@pytest.mark.parametrize("run", [_stats, _scan], ids=["basic_stats_pass", "comoment_scan"])
+def test_job_count_independent_of_width(spark, narrow_and_wide, run):
+    narrow, wide = narrow_and_wide
+    assert len(narrow.columns) == 8 and len(wide.columns) == 40
+    counts = [_jobs(spark, lambda: run(df)) for df in (narrow, wide)]
+    assert counts[0] > 0
+    assert counts[0] == counts[1]
+
+
+def test_comoment_scan_is_one_job(spark, narrow_and_wide):
+    assert _jobs(spark, lambda: _scan(narrow_and_wide[1])) == 1
+
+
+_RUN_WITHOUT_PACKAGE = textwrap.dedent(
+    """
+    import importlib.abc
+    import pickle
+    import sys
+
+    class Block(importlib.abc.MetaPathFinder):
+        def find_spec(self, name, path, target=None):
+            if name.split(".")[0] == "repro":
+                raise ImportError(name + " is not installed here")
+
+    sys.meta_path.insert(0, Block())
+    kernel = pickle.loads(sys.stdin.buffer.read())
+    import pandas as pd
+
+    batch = pd.DataFrame({"a": [1.0, 2.0, 4.0], "b": [2.0, float("nan"), 7.0]})
+    (out,) = kernel(iter([batch]))
+    rows, n, mean, m2, c = pickle.loads(out["payload"][0])
+    print(rows, n[0, 1], mean[1, 0])
+    """
+)
+
+
+def test_comoment_kernel_runs_without_the_package(tmp_path):
+    """The kernel's cloudpickle payload references nothing in ``repro``."""
+    kernel, _ = _comoment_kernel(2)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    res = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_PACKAGE],
+        input=cloudpickle.dumps(kernel),
+        capture_output=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr.decode()
+    assert res.stdout.decode().split() == ["3", "2.0", "4.5"]
