@@ -29,7 +29,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.compute import missing_expr
+from repro.core.compute import finite, missing_expr
 from repro.core.config import Config
 from repro.core.correlation import kendall_matrix
 from repro.core.dtypes import EDAType, detect_types
@@ -37,12 +37,7 @@ from repro.core.intermediates import Intermediates
 
 
 def _numeric_clean(df: DataFrame, col: str) -> DataFrame:
-    cd = F.col(col).cast("double")
-    return df.select(
-        F.when(F.isnan(cd) | cd.isin(float("inf"), float("-inf")), None)
-        .otherwise(cd)
-        .alias(col)
-    )
+    return df.select(finite(F.col(col)).alias(col))
 
 
 def _profile_numeric_column(df: DataFrame, col: str, cfg: Config) -> dict[str, object]:

@@ -25,29 +25,18 @@ from repro.core.intermediates import Intermediates
 
 
 def _minmax(df: DataFrame, cols: list[str]) -> dict[str, tuple[float, float]]:
-    """Single-job min/max of the given numeric columns (bin-edge metadata)."""
+    """Single-job min/max of the given numeric columns' finite values (bin-edge metadata)."""
     exprs = []
     for c in cols:
-        exprs += [F.min(F.col(c).cast("double")).alias(f"{c}__mn"),
-                  F.max(F.col(c).cast("double")).alias(f"{c}__mx")]
+        v = compute.finite(F.col(c))
+        exprs += [F.min(v).alias(f"{c}__mn"), F.max(v).alias(f"{c}__mx")]
     row = df.agg(*exprs).collect()[0]
     return {c: (row[f"{c}__mn"], row[f"{c}__mx"]) for c in cols}
 
 
-def _bin_expr(col: str, mn: float, mx: float, bins: int):
-    if mx == mn:
-        return F.lit(0)
-    width = (mx - mn) / bins
-    return F.least(
-        F.floor((F.col(col).cast("double") - F.lit(mn)) / F.lit(width)).cast("int"),
-        F.lit(bins - 1),
-    )
-
-
 def compute_num_num(df: DataFrame, x: str, y: str, cfg: Config) -> Intermediates:
     """NN pair: scatter sample + hexbin grid + binned box plot."""
-    proj = df.where(F.col(x).isNotNull() & F.col(y).isNotNull())
-    proj = proj.where(~F.isnan(F.col(x).cast("double")) & ~F.isnan(F.col(y).cast("double")))
+    proj = df.where(compute.finite(F.col(x)).isNotNull() & compute.finite(F.col(y)).isNotNull())
     mm = _minmax(proj, [x, y])
     (x_mn, x_mx), (y_mn, y_mx) = mm[x], mm[y]
 
@@ -66,22 +55,23 @@ def compute_num_num(df: DataFrame, x: str, y: str, cfg: Config) -> Intermediates
     inter["scatter"] = sample
 
     gs = cfg["hexbin.gridsize"]
+    xv, yv = F.col(x).cast("double"), F.col(y).cast("double")
     hexbin = (
         proj.select(
-            _bin_expr(x, x_mn, x_mx, gs).alias("xbin"),
-            _bin_expr(y, y_mn, y_mx, gs).alias("ybin"),
+            compute.bin_index(xv, x_mn, x_mx, gs).alias("xbin"),
+            compute.bin_index(yv, y_mn, y_mx, gs).alias("ybin"),
         )
         .groupBy("xbin", "ybin")
         .count()
         .toPandas()
     )
-    hexbin.attrs["x_edges"] = np.linspace(x_mn, x_mx, gs + 1)
-    hexbin.attrs["y_edges"] = np.linspace(y_mn, y_mx, gs + 1)
+    hexbin.attrs["x_edges"] = compute.bin_edges(x_mn, x_mx, gs)
+    hexbin.attrs["y_edges"] = compute.bin_edges(y_mn, y_mx, gs)
     inter["hexbin"] = hexbin
 
     nb = cfg["boxnum.bins"]
     box = (
-        proj.select(_bin_expr(x, x_mn, x_mx, nb).alias("xbin"), F.col(y).cast("double").alias("y"))
+        proj.select(compute.bin_index(xv, x_mn, x_mx, nb).alias("xbin"), yv.alias("y"))
         .groupBy("xbin")
         .agg(
             F.percentile_approx("y", [0.25, 0.5, 0.75]).alias("q"),
@@ -96,7 +86,7 @@ def compute_num_num(df: DataFrame, x: str, y: str, cfg: Config) -> Intermediates
         q = np.vstack(box["q"].to_numpy())
         box["q1"], box["median"], box["q3"] = q[:, 0], q[:, 1], q[:, 2]
         box = box.drop(columns=["q"])
-    box.attrs["x_edges"] = np.linspace(x_mn, x_mx, nb + 1)
+    box.attrs["x_edges"] = compute.bin_edges(x_mn, x_mx, nb)
     inter["binned_box"] = box
     return inter
 
@@ -107,11 +97,9 @@ def compute_num_cat(df: DataFrame, num: str, cat: str, cfg: Config) -> Intermedi
     The top ``line.ngroups`` categories (by frequency) are analyzed; the
     category ranking, box stats, and line histograms take three fused jobs.
     """
-    proj = df.where(
-        F.col(num).isNotNull()
-        & ~F.isnan(F.col(num).cast("double"))
-        & F.col(cat).isNotNull()
-    ).select(F.col(cat).cast("string").alias("g"), F.col(num).cast("double").alias("y"))
+    proj = df.select(
+        F.col(cat).cast("string").alias("g"), compute.finite(F.col(num)).alias("y")
+    ).where(F.col("g").isNotNull() & F.col("y").isNotNull())
 
     ngroups = cfg["line.ngroups"]
     top_pdf = (
@@ -146,19 +134,16 @@ def compute_num_cat(df: DataFrame, num: str, cat: str, cfg: Config) -> Intermedi
     y_mn = float(box["min"].min())
     y_mx = float(box["max"].max())
     bins = cfg["hist.bins"]
-    if y_mx > y_mn:
-        counts = (
-            sub.select("g", _bin_expr("y", y_mn, y_mx, bins).alias("bin"))
-            .groupBy("g", "bin")
-            .count()
-            .toPandas()
-        )
-    else:
-        counts = pd.DataFrame({"g": [g for g in top], "bin": 0, "count": 0})
-    edges = np.linspace(y_mn, y_mx, bins + 1) if y_mx > y_mn else np.array([y_mn, y_mn])
+    edges = compute.bin_edges(y_mn, y_mx, bins)
+    counts = (
+        sub.select("g", compute.bin_index(F.col("y"), y_mn, y_mx, bins).alias("bin"))
+        .groupBy("g", "bin")
+        .count()
+        .toPandas()
+    )
     lines: dict[str, np.ndarray] = {}
     for g in top:
-        arr = np.zeros(max(bins, 1), dtype="int64")
+        arr = np.zeros(len(edges) - 1, dtype="int64")
         sel = counts[counts["g"] == g]
         arr[sel["bin"].to_numpy(dtype="int64")] = sel["count"].to_numpy(dtype="int64")
         lines[g] = arr

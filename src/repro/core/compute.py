@@ -17,8 +17,6 @@ implemented here:
   are baked into the job as literals (``bin_index``).
 * ``value_counts_pass``  — value counts of all categorical columns via one
   ``unpivot → groupBy(column, value)``.
-* ``quantiles_pass``     — one ``approxQuantile`` call covering all columns
-  (the stats pass sketches the report's quantiles itself).
 
 Each pass reduces the distributed frame to a tiny pandas object; everything
 downstream (KDE, Q-Q, box stats, insights) is driver-side pandas/numpy —
@@ -26,7 +24,6 @@ the paper's Dask-Computation / Pandas-Computation split.
 """
 from __future__ import annotations
 
-import math
 from typing import Mapping
 
 import numpy as np
@@ -188,7 +185,9 @@ def basic_stats_pass(
             nrows = stats.pop("nrows")
             rows[stats.pop("column")] = stats
         # what a column without rows gets: counts 0, every other stat None
-        empty.update({c: {**dict.fromkeys(aggs), "count": 0, "distinct": 0} for c in members})
+        empty.update(
+            {c: {**dict.fromkeys(aggs), "count": 0, "nmissing": 0, "distinct": 0} for c in members}
+        )
     if nrows is None:  # no columns, or no rows: the groupBy returned nothing
         nrows = df.count() if not cols else 0
     out: dict[str, dict[str, object]] = {"__table__": {"nrows": nrows}}
@@ -205,28 +204,6 @@ def basic_stats_pass(
                 stats["quantiles"] = dict(zip(quantile_probs, sketch))
         out[col] = stats
     return out
-
-
-def quantiles_pass(
-    df: DataFrame,
-    num_cols: list[str],
-    types: Mapping[str, EDAType],
-    probs: tuple[float, ...] = STATS_QUANTILES,
-    rel_err: float = 0.001,
-) -> dict[str, dict[float, float]]:
-    """Approximate quantiles of all numeric columns in one pass.
-
-    Uses the Greenwald–Khanna sketch behind ``approxQuantile``; one job for
-    all columns and all probabilities (shared by stats/box/Q-Q — the
-    paper's computation-sharing example).
-    """
-    if not num_cols:
-        return {}
-    cleaned = df.select([finite(F.col(c)).alias(c) for c in num_cols])
-    res = cleaned.approxQuantile(num_cols, list(probs), rel_err)
-    return {
-        c: {p: q for p, q in zip(probs, qs)} for c, qs in zip(num_cols, res)
-    }
 
 
 def bin_index(value: Column, mn: float, mx: float, bins: int) -> Column:
@@ -251,7 +228,6 @@ def bin_edges(mn: float, mx: float, bins: int) -> np.ndarray:
 def histogram_pass(
     df: DataFrame,
     num_cols: list[str],
-    types: Mapping[str, EDAType],
     minmax: Mapping[str, tuple[float | None, float | None]],
     bins: int,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -371,12 +347,3 @@ def sample_pass(
     frac = min(1.0, (n / total_rows) * 1.1)
     return proj.sample(fraction=frac, seed=seed).limit(n).toPandas()
 
-
-def freedman_diaconis_bins(n: int, iqr: float, span: float, default: int) -> int:
-    """Freedman–Diaconis bin-count suggestion, clamped to [1, default*4]."""
-    if n <= 0 or iqr <= 0 or span <= 0:
-        return default
-    width = 2 * iqr / (n ** (1 / 3))
-    if width <= 0:
-        return default
-    return int(min(max(1, math.ceil(span / width)), default * 4))

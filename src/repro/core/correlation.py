@@ -41,15 +41,7 @@ from repro.substrate import numutils
 
 def _clean_numeric(df: DataFrame, cols: list[str]) -> DataFrame:
     """Project to double columns with NaN/±inf nulled (pairwise semantics)."""
-    out = []
-    for c in cols:
-        cd = F.col(c).cast("double")
-        out.append(
-            F.when(F.isnan(cd) | cd.isin(float("inf"), float("-inf")), None)
-            .otherwise(cd)
-            .alias(c)
-        )
-    return df.select(out)
+    return df.select([compute.finite(F.col(c)).alias(c) for c in cols])
 
 
 def ranked(df: DataFrame, cols: list[str]) -> DataFrame:

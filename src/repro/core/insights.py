@@ -136,15 +136,12 @@ def missing_insights(inter: Intermediates, cfg: Config) -> list[Insight]:
 
 
 def univariate_insights(inter: Intermediates, cfg: Config) -> list[Insight]:
-    col = inter["col"]
+    """Insights of one variable; a categorical's come from its full value counts."""
     hist = inter.get("hist")
     return column_insights(
-        col,
-        inter["stats"],
-        cfg,
-        inter.get("nrows") or (int(inter["stats"].get("count") or 0) + int(inter["stats"].get("nmissing") or 0)),
+        inter["col"], inter["stats"], cfg, inter["nrows"],
         hist_counts=hist["counts"] if hist else None,
-        value_counts=inter.get("bar"),
+        value_counts=inter.get("value_counts"),
     )
 
 

@@ -27,9 +27,8 @@ from repro.core.dtypes import EDAType, detect_types
 from repro.core.insights import missing_insights
 from repro.core.intermediates import EDAResult, Intermediates
 from repro.core.render import render
-from repro.substrate import numutils
 from repro.substrate.cluster import cluster_order, linkage_average
-from repro.substrate.sparkutils import null_indicators, with_row_index
+from repro.substrate.sparkutils import with_row_index
 
 
 def spectrum_pass(df: DataFrame, bins: int, nrows: int | None = None) -> pd.DataFrame:
@@ -40,7 +39,10 @@ def spectrum_pass(df: DataFrame, bins: int, nrows: int | None = None) -> pd.Data
     segments, melted, and aggregated in one shuffle for all columns.
     ``nrows`` (when already known from a stats pass) avoids a count job.
     """
-    indexed = with_row_index(null_indicators(df).select(df.columns), "__row")
+    indicators = compute.missing_exprs(df, df.columns)
+    indexed = with_row_index(
+        df.select([e.alias(c) for e, c in zip(indicators, df.columns)]), "__row"
+    )
     if nrows is None:
         nrows = indexed.count()
     nrows = max(nrows, 1)
@@ -85,29 +87,34 @@ def nullity_dendrogram(corr: pd.DataFrame) -> dict[str, object]:
     return {"columns": cols, "linkage": Z, "leaf_order": cluster_order(Z, m)}
 
 
-def compute_missing(df: DataFrame, cfg: Config) -> Intermediates:
-    """Intermediates for ``plot_missing(df)``.
+def missing_view(moments: CoMoments, spectrum: pd.DataFrame) -> Intermediates:
+    """The ``plot_missing(df)`` intermediates from a co-moment scan and a spectrum.
 
-    The row count, the missing counts and the nullity correlation come out
-    of one co-moment scan over the missing indicators.
+    ``moments`` carries every column's missing indicator: the row count, the
+    missing counts and the nullity correlation all come out of it.
     """
-    moments = comoment_scan(df, [], df.columns)
     nrows, miss = moments.nrows, moments.missing()
+    corr = nullity_correlation(moments)
     inter = Intermediates(task="missing")
     inter["nrows"] = nrows
     inter["bar"] = miss
     inter["missing_rate"] = (miss / nrows) if nrows else miss.astype("float64")
-    inter["spectrum"] = spectrum_pass(df, cfg["spectrum.bins"], nrows)
-    corr = nullity_correlation(moments)
+    inter["spectrum"] = spectrum
     inter["nullity_corr"] = corr
     inter["dendrogram"] = nullity_dendrogram(corr)
     return inter
 
 
+def compute_missing(df: DataFrame, cfg: Config) -> Intermediates:
+    """Intermediates for ``plot_missing(df)``: one co-moment scan over the
+    missing indicators, then the spectrum pass."""
+    moments = comoment_scan(df, [], df.columns)
+    return missing_view(moments, spectrum_pass(df, cfg["spectrum.bins"], moments.nrows))
+
+
 def _before_after_numeric(
     df: DataFrame,
     num_cols: list[str],
-    types,
     minmax,
     dropped: F.Column,
     bins: int,
@@ -214,9 +221,7 @@ def compute_missing_col(df: DataFrame, col1: str, cfg: Config) -> Intermediates:
     inter["col"] = col1
     inter["nrows"] = nrows
     inter["n_dropped"] = n_missing
-    inter["numeric"] = _before_after_numeric(
-        df, num_cols, types, minmax, dropped, cfg["hist.bins"]
-    )
+    inter["numeric"] = _before_after_numeric(df, num_cols, minmax, dropped, cfg["hist.bins"])
     inter["categorical"] = _before_after_categorical(
         df, cat_cols, dropped, cfg["bar.top_n"] * 10
     )
@@ -249,7 +254,7 @@ def compute_missing_pair(df: DataFrame, col1: str, col2: str, cfg: Config) -> In
         clean2 = compute.finite(F.col(col2))
         mm_row = df.agg(F.min(clean2).alias("mn"), F.max(clean2).alias("mx")).collect()[0]
         minmax = {col2: (mm_row["mn"], mm_row["mx"])}
-        hists = _before_after_numeric(df, [col2], types, minmax, dropped, cfg["hist.bins"])
+        hists = _before_after_numeric(df, [col2], minmax, dropped, cfg["hist.bins"])
         frame = hists.get(col2, pd.DataFrame(columns=["bin", "before", "after"]))
         inter["hist"] = frame
         b = frame["before"].to_numpy("float64") if len(frame) else np.zeros(0)

@@ -15,7 +15,6 @@ column count:
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core import compute
 from repro.core.config import Config
@@ -38,36 +37,44 @@ def duplicate_rows_pass(df: DataFrame, nrows: int | None = None) -> int:
     return int(nrows) - df.distinct().count()
 
 
-def compute_overview(df: DataFrame, cfg: Config, *, with_duplicates: bool = True) -> Intermediates:
+def dataset_stats(
+    types: dict[str, EDAType],
+    col_stats: dict[str, dict[str, object]],
+    nrows: int,
+    n_duplicates: int,
+) -> dict[str, object]:
+    """The dataset statistics table from the stats pass and the duplicate count."""
+    n_cells = nrows * len(types)
+    n_missing = sum(int(s["nmissing"]) for s in col_stats.values())
+    return {
+        "nrows": nrows,
+        "ncols": len(types),
+        "n_numerical": sum(1 for t in types.values() if t is EDAType.NUMERICAL),
+        "n_categorical": sum(1 for t in types.values() if t is EDAType.CATEGORICAL),
+        "n_datetime": sum(1 for t in types.values() if t is EDAType.DATETIME),
+        "n_missing_cells": n_missing,
+        "missing_pct": (n_missing / n_cells) if n_cells else 0.0,
+        "n_duplicate_rows": n_duplicates,
+    }
+
+
+def compute_overview(df: DataFrame, cfg: Config) -> Intermediates:
     """Intermediates for the dataset overview."""
     types = detect_types(df)
     num_cols = [c for c, t in types.items() if t is EDAType.NUMERICAL]
     cat_cols = [c for c, t in types.items() if t is EDAType.CATEGORICAL]
 
     stats = compute.basic_stats_pass(df, types)
-    nrows = int(stats["__table__"]["nrows"])
-    col_stats = {c: s for c, s in stats.items() if c != "__table__"}
+    nrows = int(stats.pop("__table__")["nrows"])
 
-    minmax = {c: (col_stats[c].get("min"), col_stats[c].get("max")) for c in num_cols}
-    hists = compute.histogram_pass(df, num_cols, types, minmax, cfg["hist.bins"]) if num_cols else {}
+    minmax = {c: (stats[c]["min"], stats[c]["max"]) for c in num_cols}
+    hists = compute.histogram_pass(df, num_cols, minmax, cfg["hist.bins"]) if num_cols else {}
     bars = compute.value_counts_pass(df, cat_cols) if cat_cols else {}
-
-    n_cells = nrows * len(df.columns)
-    n_missing = sum(int(s["nmissing"]) for s in col_stats.values())
 
     inter = Intermediates(task="overview")
     inter["types"] = {c: t.value for c, t in types.items()}
-    inter["dataset_stats"] = {
-        "nrows": nrows,
-        "ncols": len(df.columns),
-        "n_numerical": len(num_cols),
-        "n_categorical": len(cat_cols),
-        "n_datetime": sum(1 for t in types.values() if t is EDAType.DATETIME),
-        "n_missing_cells": n_missing,
-        "missing_pct": (n_missing / n_cells) if n_cells else 0.0,
-        "n_duplicate_rows": duplicate_rows_pass(df, nrows) if with_duplicates else None,
-    }
-    inter["col_stats"] = col_stats
+    inter["dataset_stats"] = dataset_stats(types, stats, nrows, duplicate_rows_pass(df, nrows))
+    inter["col_stats"] = stats
     inter["hists"] = hists
     inter["bars"] = {c: s.head(cfg["bar.top_n"]) for c, s in bars.items()}
     inter["value_counts"] = bars

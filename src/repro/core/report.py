@@ -2,10 +2,12 @@
 the paper's §6 (Table 2, Figure 6).
 
 The report covers the same five sections as Pandas-profiling (Overview,
-Variables, Interactions, Correlations, Missing Values) but computes them
-through the fused pipeline: a fixed, small number of Spark jobs
-**independent of the column count**, with every shared intermediate
-computed exactly once:
+Variables, Interactions, Correlations, Missing Values). It is composed
+from the task functions' views: a shared pass plan computes every
+intermediate exactly once, with a fixed, small number of Spark jobs
+**independent of the column count**, and fans the results into the same
+driver-side shapers ``plot`` and ``plot_missing`` use (paper §4.2:
+intermediates computed once, distributed to each visualization):
 
 1.  one ``basic_stats_pass``       (all stats and the stats+box+Q-Q quantile
                                     sketch, all columns — one melted
@@ -15,8 +17,9 @@ computed exactly once:
                                     bin edges from pass 1, the paper's
                                     precompute-metadata stage)
 4.  one ``value_counts_pass``      (all categorical bars — 1 melted shuffle)
-5.  one ``sample_pass``            (one seeded numeric sample shared by KDE,
-                                    Kendall, and sample-based interactions)
+5.  one ``sample_pass``            (one seeded sample of the finite numeric
+                                    values, shared by KDE, Kendall and the
+                                    interactions)
 6.  one ``comoment_scan``          (Pearson of all numeric pairs and the
                                     nullity correlation of all columns —
                                     1 scan)
@@ -24,9 +27,11 @@ computed exactly once:
     a distributed rank transform + co-moment scan above the cell budget
 8.  the spectrum jobs for the missing section
 
-Everything else (Q-Q, box geometry, KDE, tau-b, linkage, insights,
-rendering) is driver-side pandas/numpy over the reduced intermediates —
-the paper's Dask-Computation / Pandas-Computation split (§5.2).
+The views then shape each section on the driver:
+``univariate.numerical_view`` / ``categorical_view`` per variable,
+``overview.dataset_stats`` for the overview and ``missing.missing_view``
+for the missing values. Only the interactions (hexbins of the shared
+sample) are the report's own.
 """
 from __future__ import annotations
 
@@ -38,123 +43,23 @@ from repro.core import compute
 from repro.core.config import Config
 from repro.core.correlation import comoment_scan, kendall_matrix, spearman_matrix
 from repro.core.dtypes import EDAType, detect_types
-from repro.core.insights import (
-    correlation_insights,
-    dataset_insights,
-    column_insights,
-    missing_insights,
-)
+from repro.core.insights import correlation_insights, dataset_insights, univariate_insights
 from repro.core.intermediates import EDAResult, Insight, Intermediates
-from repro.core.missing import nullity_correlation, nullity_dendrogram, spectrum_pass
-from repro.core.overview import duplicate_rows_pass
+from repro.core.missing import missing_view, spectrum_pass
+from repro.core.overview import dataset_stats, duplicate_rows_pass
 from repro.core.render import render_report, stats_table, svg_bars, svg_line
-from repro.core.univariate import box_plot_stats
-from repro.substrate import numutils
+from repro.core.univariate import categorical_view, numerical_view, quantile_probs
 
 
-def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
-    """All report intermediates through the fused pipeline (see module doc)."""
-    types = detect_types(df)
-    num_cols = [c for c, t in types.items() if t is EDAType.NUMERICAL]
-    cat_cols = [c for c, t in types.items() if t is EDAType.CATEGORICAL]
+def _hexbins(sample: pd.DataFrame, num_cols: list[str], gs: int) -> dict[tuple[str, str], pd.DataFrame]:
+    """Interactions: a hexbin grid per numeric pair, from the shared sample.
 
-    # -- Spark Computation phase (fused passes) --------------------------
-    qq_probs = tuple((i + 0.5) / cfg["qq.points"] for i in range(cfg["qq.points"]))
-    all_probs = tuple(sorted(set(compute.STATS_QUANTILES) | set(qq_probs)))
-    stats = compute.basic_stats_pass(df, types, quantile_probs=all_probs)
-    nrows = int(stats["__table__"]["nrows"])
-    col_stats = {c: s for c, s in stats.items() if c != "__table__"}
-
-    n_dup = duplicate_rows_pass(df, nrows)
-
-    quantiles = {
-        c: stats[c].pop("quantiles") for c in num_cols
-    }  # sketched inside the fused stats agg — no separate quantile scan
-
-    minmax = {c: (col_stats[c].get("min"), col_stats[c].get("max")) for c in num_cols}
-    hists = compute.histogram_pass(df, num_cols, types, minmax, cfg["hist.bins"])
-    value_counts = compute.value_counts_pass(df, cat_cols)
-
-    sample = (
-        compute.sample_pass(
-            df.select(num_cols), num_cols,
-            max(cfg["kde.sample_size"], cfg["kendall.sample_size"]),
-            cfg["compute.seed"], total_rows=nrows,
-        ).astype("float64")
-        if num_cols else pd.DataFrame()
-    )
-
-    # one scan for the Pearson matrix and the nullity heatmap
-    moments = comoment_scan(df, num_cols, df.columns)
-    corr: dict[str, pd.DataFrame] = {}
-    methods = cfg["correlation.methods"]
-    if "pearson" in methods:
-        corr["pearson"] = moments.pearson()
-    if "spearman" in methods:
-        corr["spearman"] = spearman_matrix(df, num_cols, nrows=nrows)
-    if "kendall" in methods:
-        ksample = sample.head(cfg["kendall.sample_size"]) if len(sample) else sample
-        corr["kendall"] = kendall_matrix(ksample, num_cols)
-
-    miss_counts = pd.Series({c: int(s["nmissing"]) for c, s in col_stats.items()})
-    spectrum = spectrum_pass(df, cfg["spectrum.bins"], nrows)
-    nullity = nullity_correlation(moments)
-    dendrogram = nullity_dendrogram(nullity)
-
-    # -- pandas Computation phase (driver-side shaping) ------------------
-    variables: dict[str, Intermediates] = {}
-    for c in df.columns:
-        sub = Intermediates(task=f"univariate:{c}")
-        sub["col"] = c
-        sub["type"] = types[c].value
-        sub["nrows"] = nrows
-        if types[c] is EDAType.NUMERICAL:
-            q = quantiles.get(c, {})
-            sub["stats"] = {
-                **col_stats[c],
-                "quantiles": {p: q.get(p) for p in compute.STATS_QUANTILES},
-            }
-            counts, edges = hists[c]
-            sub["hist"] = {"counts": counts, "edges": edges}
-            mn, mx = minmax[c]
-            col_sample = sample[c].dropna().head(cfg["kde.sample_size"]) if c in sample else pd.Series(dtype="float64")
-            if mn is not None and mx is not None and len(col_sample):
-                grid = np.linspace(float(mn), float(mx), cfg["kde.grid_points"])
-                sub["kde"] = {"grid": grid, "density": numutils.gaussian_kde(col_sample.to_numpy(), grid)}
-            else:
-                sub["kde"] = {"grid": np.zeros(0), "density": np.zeros(0)}
-            mean, std = col_stats[c].get("mean"), col_stats[c].get("std")
-            theo = numutils.norm_ppf(np.array(qq_probs))
-            if mean is not None and std not in (None, 0) and std == std and all(p in q for p in qq_probs):
-                sub["qq"] = {
-                    "theoretical": float(mean) + float(std) * theo,
-                    "sample": np.array([q[p] for p in qq_probs], dtype="float64"),
-                }
-            else:
-                sub["qq"] = {"theoretical": np.full(len(qq_probs), np.nan), "sample": np.full(len(qq_probs), np.nan)}
-            if all(p in q and q[p] is not None for p in (0.25, 0.5, 0.75)):
-                sub["box"] = box_plot_stats(q, cfg["box.whisker"])
-        elif types[c] is EDAType.CATEGORICAL:
-            vc = value_counts[c]
-            sub["stats"] = {
-                **col_stats[c],
-                "n_distinct_exact": vc.attrs.get("n_distinct", len(vc)),
-                "n_total": vc.attrs.get("n_total", int(vc.sum())),
-            }
-            sub["bar"] = vc.head(cfg["bar.top_n"])
-        else:
-            sub["stats"] = dict(col_stats[c])
-        variables[c] = sub
-
-    # Interactions: hexbin per numeric pair, derived from the one shared
-    # sample on the driver (documented substitution — PP recomputes each
-    # pair from the full frame, our baseline does too).
+    A documented substitution: Pandas-profiling recomputes each pair from
+    the full frame, and so does the baseline.
+    """
     interactions: dict[tuple[str, str], pd.DataFrame] = {}
-    gs = cfg["hexbin.gridsize"]
     for i, a in enumerate(num_cols):
         for b in num_cols[i + 1:]:
-            if a not in sample or b not in sample:
-                continue
             xv = sample[a].to_numpy()
             yv = sample[b].to_numpy()
             ok = np.isfinite(xv) & np.isfinite(yv)
@@ -171,50 +76,78 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
             interactions[(a, b)] = pd.DataFrame(
                 {"xbin": nz // gs, "ybin": nz % gs, "count": flat[nz]}
             )
+    return interactions
 
-    n_cells = nrows * len(df.columns)
+
+def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
+    """All report intermediates: the shared passes, then the views (see module doc)."""
+    types = detect_types(df)
+    num_cols = [c for c, t in types.items() if t is EDAType.NUMERICAL]
+    cat_cols = [c for c, t in types.items() if t is EDAType.CATEGORICAL]
+
+    # -- Spark Computation phase (shared passes) -------------------------
+    stats = compute.basic_stats_pass(df, types, quantile_probs=quantile_probs(cfg))
+    nrows = int(stats.pop("__table__")["nrows"])
+    n_dup = duplicate_rows_pass(df, nrows)
+    quantiles = {c: stats[c].pop("quantiles") for c in num_cols}
+    minmax = {c: (stats[c]["min"], stats[c]["max"]) for c in num_cols}
+    hists = compute.histogram_pass(df, num_cols, minmax, cfg["hist.bins"])
+    value_counts = compute.value_counts_pass(df, cat_cols)
+    sample = (
+        compute.sample_pass(
+            df.select(num_cols), num_cols,
+            max(cfg["kde.sample_size"], cfg["kendall.sample_size"]),
+            cfg["compute.seed"], total_rows=nrows,
+        ).astype("float64")
+        if num_cols else pd.DataFrame()
+    )
+    # NaN/±inf → missing, as ``compute.finite`` does in Spark; masked here
+    # because a ``finite`` projection costs ~80 py4j round trips a column
+    sample = sample.where(np.isfinite(sample))
+
+    # one scan for the Pearson matrix and the nullity heatmap
+    moments = comoment_scan(df, num_cols, df.columns)
+    corr: dict[str, pd.DataFrame] = {}
+    methods = cfg["correlation.methods"]
+    if "pearson" in methods:
+        corr["pearson"] = moments.pearson()
+    if "spearman" in methods:
+        corr["spearman"] = spearman_matrix(df, num_cols, nrows=nrows)
+    if "kendall" in methods:
+        corr["kendall"] = kendall_matrix(sample.head(cfg["kendall.sample_size"]), num_cols)
+    spectrum = spectrum_pass(df, cfg["spectrum.bins"], nrows)
+
+    # -- pandas Computation phase (the task views) -----------------------
+    variables: dict[str, Intermediates] = {}
+    for c, t in types.items():
+        if t is EDAType.NUMERICAL:
+            variables[c] = numerical_view(c, stats[c], quantiles[c], hists[c], sample[c], cfg)
+        elif t is EDAType.CATEGORICAL:
+            variables[c] = categorical_view(c, stats[c], value_counts[c], cfg)
+        else:  # datetime: the stats table only
+            sub = variables[c] = Intermediates(task=f"univariate:{c}")
+            sub["col"] = c
+            sub["type"] = t.value
+            sub["nrows"] = nrows
+            sub["stats"] = stats[c]
+
     inter = Intermediates(task="report")
     inter["types"] = {c: t.value for c, t in types.items()}
-    inter["dataset_stats"] = {
-        "nrows": nrows,
-        "ncols": len(df.columns),
-        "n_numerical": len(num_cols),
-        "n_categorical": len(cat_cols),
-        "n_missing_cells": int(miss_counts.sum()),
-        "missing_pct": (float(miss_counts.sum()) / n_cells) if n_cells else 0.0,
-        "n_duplicate_rows": n_dup,
-    }
+    inter["dataset_stats"] = dataset_stats(types, stats, nrows, n_dup)
     inter["variables"] = variables
-    inter["interactions"] = interactions
+    inter["interactions"] = _hexbins(sample, num_cols, cfg["hexbin.gridsize"])
     inter["correlations"] = corr
-    inter["missing"] = {
-        "bar": miss_counts,
-        "missing_rate": (miss_counts / nrows) if nrows else miss_counts.astype("float64"),
-        "spectrum": spectrum,
-        "nullity_corr": nullity,
-        "dendrogram": dendrogram,
-    }
+    inter["missing"] = missing_view(moments, spectrum)
     inter["value_counts"] = value_counts
     return inter
 
 
 def report_insights(inter: Intermediates, cfg: Config) -> list[Insight]:
+    """The overview's, every variable's and the correlations' insights, once each."""
     out = dataset_insights(inter["dataset_stats"], cfg)
-    nrows = int(inter["dataset_stats"]["nrows"])
-    for c, sub in inter["variables"].items():
-        hist = sub.get("hist")
-        out += column_insights(
-            c, sub["stats"], cfg, nrows,
-            hist_counts=hist["counts"] if hist else None,
-            value_counts=inter["value_counts"].get(c),
-        )
-    corr_inter = Intermediates(task="correlation")
-    for m, mat in inter["correlations"].items():
-        corr_inter[m] = mat
-    out += correlation_insights(corr_inter, cfg)
-    miss_inter = Intermediates(task="missing")
-    miss_inter["missing_rate"] = inter["missing"]["missing_rate"]
-    out += missing_insights(miss_inter, cfg)
+    for sub in inter["variables"].values():
+        out += univariate_insights(sub, cfg)
+    out += correlation_insights(inter["correlations"], cfg)
     return out
 
 

@@ -5,8 +5,10 @@ plot, box plot. Categorical column → column statistics, bar chart, pie
 chart, word cloud (word frequencies) and word-frequency table.
 
 All distributed work is funneled through the fused kernels in
-``core.compute``; driver-side numpy handles KDE/Q-Q/box from the already
-reduced intermediates (§5.2 two-phase split).
+``core.compute``. The driver-side shaping (KDE, Q-Q, box, bar and pie) is
+in ``numerical_view`` and ``categorical_view``, plain functions of the
+reduced intermediates (§5.2 two-phase split) that ``create_report`` feeds
+from its own shared passes.
 """
 from __future__ import annotations
 
@@ -21,9 +23,19 @@ from repro.core.dtypes import EDAType, detect_type
 from repro.core.intermediates import Intermediates
 from repro.substrate import numutils
 
-#: probabilities of the Q-Q plot are appended to the shared stats quantiles
-#: so one ``approxQuantile`` call serves the stats table, box plot and Q-Q
-#: plot (paper §4.2: quantiles computed once, distributed to each viz).
+
+def _qq_probs(cfg: Config) -> tuple[float, ...]:
+    return tuple((i + 0.5) / cfg["qq.points"] for i in range(cfg["qq.points"]))
+
+
+def quantile_probs(cfg: Config) -> tuple[float, ...]:
+    """The stats-table quantiles plus the Q-Q plot's, for one sketch.
+
+    One ``percentile_approx`` in the stats pass serves the stats table, box
+    plot and Q-Q plot (paper §4.2: quantiles computed once, distributed to
+    each visualization).
+    """
+    return tuple(sorted(set(compute.STATS_QUANTILES) | set(_qq_probs(cfg))))
 
 
 def box_plot_stats(q: dict[float, float], whisker: float) -> dict[str, float]:
@@ -40,61 +52,31 @@ def box_plot_stats(q: dict[float, float], whisker: float) -> dict[str, float]:
     }
 
 
-def compute_numerical(
-    df: DataFrame,
+def numerical_view(
     col: str,
+    stats: dict[str, object],
+    quantiles: dict[float, float],
+    hist: tuple[np.ndarray, np.ndarray],
+    sample: pd.Series,
     cfg: Config,
-    *,
-    stats: dict[str, object] | None = None,
-    quantiles: dict[float, float] | None = None,
-    hist: tuple[np.ndarray, np.ndarray] | None = None,
-    sample: pd.Series | None = None,
 ) -> Intermediates:
-    """Intermediates for univariate analysis of a numerical column.
+    """Univariate intermediates of a numerical column from its reduced inputs.
 
-    Precomputed pieces (from a report-level fused pass) can be injected via
-    keyword arguments; anything missing is computed here with the same
-    fused kernels restricted to one column.
+    ``stats`` is the column's ``basic_stats_pass`` entry without its
+    ``quantiles``, which come separately as ``{p: value}`` over
+    ``quantile_probs(cfg)``; ``hist`` is its ``histogram_pass`` entry and
+    ``sample`` a sample of its values (missing and ±inf values are dropped
+    here). Driver-only: KDE, Q-Q and box geometry (the pandas phase of the
+    paper's §5.2 split).
     """
-    types = {col: EDAType.NUMERICAL}
-    qq_probs = tuple(
-        (i + 0.5) / cfg["qq.points"] for i in range(cfg["qq.points"])
-    )
-    all_probs = tuple(sorted(set(compute.STATS_QUANTILES) | set(qq_probs)))
-    if stats is None:
-        # quantile sketch rides in the same fused agg as the stats
-        stats = dict(compute.basic_stats_pass(df, types, quantile_probs=all_probs)[col])
-        if quantiles is None:
-            quantiles = stats.pop("quantiles")
-        else:
-            stats.pop("quantiles", None)
-    nrows = int(stats.get("nrows_total") or (int(stats["count"]) + int(stats["nmissing"])))
+    qq_probs = _qq_probs(cfg)
+    sv = sample.to_numpy(dtype="float64")
+    sv = sv[np.isfinite(sv)][: cfg["kde.sample_size"]]
 
-    if quantiles is None or not all(p in quantiles for p in qq_probs):
-        quantiles = compute.quantiles_pass(df, [col], types, probs=all_probs)[col]
-
-    if hist is None:
-        hist = compute.histogram_pass(
-            df, [col], types, {col: (stats["min"], stats["max"])}, cfg["hist.bins"]
-        )[col]
-    counts, edges = hist
-
-    if sample is None:
-        n_sample = cfg["kde.sample_size"]
-        pdf = compute.sample_pass(
-            df.where(~compute.missing_expr(df, col).cast("boolean")),
-            [col],
-            n_sample,
-            cfg["compute.seed"],
-            total_rows=int(stats["count"]),
-        )
-        sample = pdf[col].astype("float64")
-
-    # -- driver-side (pandas-phase) kernels ------------------------------
     mn, mx = stats["min"], stats["max"]
-    if mn is not None and mx is not None and np.isfinite([mn, mx]).all():
+    if mn is not None and mx is not None:
         grid = np.linspace(float(mn), float(mx), cfg["kde.grid_points"])
-        kde = numutils.gaussian_kde(sample.to_numpy(), grid)
+        kde = numutils.gaussian_kde(sv, grid)
     else:
         grid = np.zeros(0)
         kde = np.zeros(0)
@@ -112,7 +94,6 @@ def compute_numerical(
         box = box_plot_stats(quantiles, cfg["box.whisker"])
     else:  # all-null column: no quartiles to build the box from
         box = {k: float("nan") for k in ("q1", "median", "q3", "iqr", "lower_whisker", "upper_whisker")}
-    sv = sample.to_numpy()
     n_out = int(((sv < box["lower_whisker"]) | (sv > box["upper_whisker"])).sum())
     # outlier count estimated from the sample, scaled to the column size —
     # keeps univariate analysis at one scan + one sample like the paper's
@@ -120,16 +101,40 @@ def compute_numerical(
     scale = max(int(stats["count"]), 1) / max(len(sv), 1)
     box["n_outliers_est"] = int(round(n_out * scale))
 
+    counts, edges = hist
     inter = Intermediates(task=f"univariate:{col}")
     inter["col"] = col
     inter["type"] = EDAType.NUMERICAL.value
-    inter["nrows"] = nrows
+    # every row is missing, ±inf or finite (``count``)
+    inter["nrows"] = int(stats["count"]) + int(stats["nmissing"]) + int(stats["ninfinite"] or 0)
     inter["stats"] = {**stats, "quantiles": {p: quantiles[p] for p in compute.STATS_QUANTILES}}
     inter["hist"] = {"counts": counts, "edges": edges}
     inter["kde"] = {"grid": grid, "density": kde}
     inter["qq"] = {"theoretical": theoretical, "sample": sample_q}
     inter["box"] = box
     return inter
+
+
+def compute_numerical(df: DataFrame, col: str, cfg: Config) -> Intermediates:
+    """Intermediates for univariate analysis of a numerical column.
+
+    Three passes: the stats pass (its quantile sketch included), the
+    histogram, and a sample for the KDE; then ``numerical_view``.
+    """
+    types = {col: EDAType.NUMERICAL}
+    stats = dict(compute.basic_stats_pass(df, types, quantile_probs=quantile_probs(cfg))[col])
+    quantiles = stats.pop("quantiles")
+    hist = compute.histogram_pass(
+        df, [col], {col: (stats["min"], stats["max"])}, cfg["hist.bins"]
+    )[col]
+    sample = compute.sample_pass(
+        df.where(~compute.missing_expr(df, col).cast("boolean")),
+        [col],
+        cfg["kde.sample_size"],
+        cfg["compute.seed"],
+        total_rows=int(stats["count"]),
+    )[col]
+    return numerical_view(col, stats, quantiles, hist, sample, cfg)
 
 
 def word_frequency_pass(df: DataFrame, col: str, top_n: int) -> Intermediates:
@@ -172,39 +177,36 @@ def word_frequency_pass(df: DataFrame, col: str, top_n: int) -> Intermediates:
     return inter
 
 
-def compute_categorical(
-    df: DataFrame,
+def categorical_view(
     col: str,
+    stats: dict[str, object],
+    value_counts: pd.Series,
     cfg: Config,
-    *,
-    stats: dict[str, object] | None = None,
-    value_counts: pd.Series | None = None,
-    with_words: bool = True,
+    words: Intermediates | None = None,
 ) -> Intermediates:
-    """Intermediates for univariate analysis of a categorical column."""
-    types = {col: EDAType.CATEGORICAL}
-    if stats is None:
-        stats = compute.basic_stats_pass(df, types)[col]
-    if value_counts is None:
-        value_counts = compute.value_counts_pass(df, [col])[col]
+    """Univariate intermediates of a categorical column from its reduced inputs.
 
+    ``stats`` is the column's ``basic_stats_pass`` entry, ``value_counts``
+    its ``value_counts_pass`` entry and ``words`` a ``word_frequency_pass``.
+    """
+    n_total = value_counts.attrs.get("n_total", int(value_counts.sum()))
     inter = Intermediates(task=f"univariate:{col}")
     inter["col"] = col
     inter["type"] = EDAType.CATEGORICAL.value
-    n_total = value_counts.attrs.get("n_total", int(value_counts.sum()))
+    inter["nrows"] = int(stats["count"]) + int(stats["nmissing"])
     inter["stats"] = {
         **stats,
         "n_distinct_exact": value_counts.attrs.get("n_distinct", len(value_counts)),
         "n_total": n_total,
     }
+    inter["value_counts"] = value_counts
     inter["bar"] = value_counts.head(cfg["bar.top_n"])
     pie = value_counts.head(cfg["pie.top_n"]).astype("float64")
     other = float(n_total - pie.sum())
     if other > 0:
         pie = pd.concat([pie, pd.Series({"(other)": other})])
     inter["pie"] = pie
-    if with_words:
-        words = word_frequency_pass(df, col, cfg["wordfreq.top_n"])
+    if words is not None:
         inter["words"] = {
             "word_counts": words["word_counts"],
             "n_words": words["n_words"],
@@ -212,6 +214,14 @@ def compute_categorical(
             "mean_word_length": words["mean_word_length"],
         }
     return inter
+
+
+def compute_categorical(df: DataFrame, col: str, cfg: Config) -> Intermediates:
+    """Intermediates for univariate analysis of a categorical column."""
+    stats = compute.basic_stats_pass(df, {col: EDAType.CATEGORICAL})[col]
+    value_counts = compute.value_counts_pass(df, [col])[col]
+    words = word_frequency_pass(df, col, cfg["wordfreq.top_n"])
+    return categorical_view(col, stats, value_counts, cfg, words)
 
 
 def compute_univariate(df: DataFrame, col: str, cfg: Config) -> Intermediates:

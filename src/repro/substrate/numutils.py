@@ -13,9 +13,7 @@ __all__ = [
     "norm_pdf",
     "gaussian_kde",
     "kendall_tau",
-    "ks_distance",
     "uniformity_pvalue_stat",
-    "pearson",
 ]
 
 
@@ -119,23 +117,6 @@ def kendall_tau(x: np.ndarray, y: np.ndarray) -> float:
     return concordant_minus_discordant / denom
 
 
-def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov–Smirnov statistic (max ECDF gap).
-
-    Used by the 'similar distribution' insight and by plot_missing's
-    before/after comparison. Replaces ``scipy.stats.ks_2samp``'s statistic.
-    """
-    a = np.sort(np.asarray(a, dtype="float64"))
-    b = np.sort(np.asarray(b, dtype="float64"))
-    a, b = a[np.isfinite(a)], b[np.isfinite(b)]
-    if a.size == 0 or b.size == 0:
-        return float("nan")
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.abs(cdf_a - cdf_b).max())
-
-
 def uniformity_pvalue_stat(counts: np.ndarray) -> float:
     """Normalized chi-square statistic against the uniform distribution.
 
@@ -153,13 +134,3 @@ def uniformity_pvalue_stat(counts: np.ndarray) -> float:
         chi2 = float(((c - expected) ** 2 / expected).sum())
     return chi2 / (total * (k - 1))
 
-
-def pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pairwise-complete Pearson correlation (driver-side helper)."""
-    x = np.asarray(x, dtype="float64")
-    y = np.asarray(y, dtype="float64")
-    ok = np.isfinite(x) & np.isfinite(y)
-    x, y = x[ok], y[ok]
-    if x.size < 2 or x.std() == 0 or y.std() == 0:
-        return float("nan")
-    return float(np.corrcoef(x, y)[0, 1])

@@ -1,28 +1,10 @@
-"""Spark DataFrame helpers used across the EDA compute pipeline.
-
-These are the fusion primitives: ``melt`` turns "one aggregation per
-column" into "one aggregation over a (column, value) long frame" so a
-single shuffle serves every column — the Spark analogue of putting all
-per-column Dask computations into one graph (paper §5.2).
-"""
+"""Spark DataFrame helpers used across the EDA compute pipeline."""
 from __future__ import annotations
 
-from pyspark.sql import Column, DataFrame, Window
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-__all__ = ["melt", "with_row_index", "null_indicators"]
-
-
-def melt(df: DataFrame, cols: list[str], var_name: str = "column", value_name: str = "value") -> DataFrame:
-    """Long-format (column-name, value) frame over ``cols``.
-
-    Values are cast to string-free common type by the caller; this wrapper
-    uses Spark's native ``unpivot`` (Catalyst `Unpivot` node) so the melt is
-    a zero-shuffle narrow transformation.
-    """
-    if not cols:
-        raise ValueError("melt requires at least one column")
-    return df.unpivot([], cols, var_name, value_name)
+__all__ = ["with_row_index"]
 
 
 def with_row_index(df: DataFrame, name: str = "row_index") -> DataFrame:
@@ -64,25 +46,3 @@ def with_row_index(df: DataFrame, name: str = "row_index") -> DataFrame:
         .drop("__pid", "__pos", "___pid", "__offset")
     )
 
-
-def _is_missing(c: Column) -> Column:
-    return c.isNull() | F.isnan(c.cast("double")).eqNullSafe(F.lit(True))
-
-
-def null_indicators(df: DataFrame, cols: list[str] | None = None, *, nan_is_missing: bool = True) -> DataFrame:
-    """0/1 missingness indicator frame with the same column names.
-
-    ``NaN`` in float columns counts as missing when ``nan_is_missing`` —
-    matching pandas semantics that Pandas-profiling and Missingno assume.
-    Non-castable types (strings) only check ``isNull``.
-    """
-    cols = cols or df.columns
-    out = []
-    for c in cols:
-        dt = dict(df.dtypes)[c]
-        if nan_is_missing and dt in ("double", "float"):
-            ind = _is_missing(F.col(c))
-        else:
-            ind = F.col(c).isNull()
-        out.append(ind.cast("int").alias(c))
-    return df.select(out)

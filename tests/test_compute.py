@@ -103,9 +103,7 @@ def test_basic_stats_zero_negative_counts(stats, titanic_pdf):
 def test_histogram_vs_oracle(spark, titanic, titanic_pdf, types, stats, col):
     bins = 20
     mn, mx = stats[col]["min"], stats[col]["max"]
-    counts, edges = compute.histogram_pass(
-        titanic, [col], types, {col: (mn, mx)}, bins
-    )[col]
+    counts, edges = compute.histogram_pass(titanic, [col], {col: (mn, mx)}, bins)[col]
     assert len(counts) == bins and len(edges) == bins + 1
     got = spark.createDataFrame(
         pd.DataFrame({"bin": np.arange(bins)[counts > 0], "cnt": counts[counts > 0]})
@@ -123,7 +121,7 @@ def test_histogram_vs_oracle(spark, titanic, titanic_pdf, types, stats, col):
 def test_histogram_total_mass(titanic, titanic_pdf, types, stats):
     num_cols = [f"num_{i}" for i in range(7)]
     minmax = {c: (stats[c]["min"], stats[c]["max"]) for c in num_cols}
-    hists = compute.histogram_pass(titanic, num_cols, types, minmax, 50)
+    hists = compute.histogram_pass(titanic, num_cols, minmax, 50)
     for c in num_cols:
         counts, _ = hists[c]
         assert counts.sum() == titanic_pdf[c].notna().sum()
@@ -132,9 +130,7 @@ def test_histogram_total_mass(titanic, titanic_pdf, types, stats):
 def test_histogram_constant_column(spark, types):
     pdf = pd.DataFrame({"k": [5.0] * 20})
     df = spark.createDataFrame(pdf)
-    h = compute.histogram_pass(
-        df, ["k"], {"k": EDAType.NUMERICAL}, {"k": (5.0, 5.0)}, 10
-    )["k"]
+    h = compute.histogram_pass(df, ["k"], {"k": (5.0, 5.0)}, 10)["k"]
     counts, edges = h
     assert counts.tolist() == [20]
     assert edges.tolist() == [5.0, 5.0]
@@ -143,9 +139,7 @@ def test_histogram_constant_column(spark, types):
 def test_histogram_allnull_column(spark):
     pdf = pd.DataFrame({"k": [np.nan] * 5})
     df = spark.createDataFrame(pdf)
-    counts, edges = compute.histogram_pass(
-        df, ["k"], {"k": EDAType.NUMERICAL}, {"k": (None, None)}, 10
-    )["k"]
+    counts, edges = compute.histogram_pass(df, ["k"], {"k": (None, None)}, 10)["k"]
     assert counts.size == 0 and edges.size == 0
 
 
@@ -182,15 +176,13 @@ def test_value_counts_cap_on_high_cardinality(spark):
 
 
 def test_quantiles_pass_accuracy(titanic, titanic_pdf, types):
-    q = compute.quantiles_pass(titanic, ["num_0"], types, rel_err=0.0001)["num_0"]
+    # the quantile sketch rides in the stats pass
+    sketched = compute.basic_stats_pass(titanic, types, quantile_probs=compute.STATS_QUANTILES)
+    q = sketched["num_0"]["quantiles"]
     s = titanic_pdf["num_0"].dropna()
     for p in (0.25, 0.5, 0.75):
         lo, hi = s.quantile(max(p - 0.01, 0)), s.quantile(min(p + 0.01, 1))
         assert lo - 1e-9 <= q[p] <= hi + 1e-9
-
-
-def test_quantiles_pass_empty_cols(titanic, types):
-    assert compute.quantiles_pass(titanic, [], types) == {}
 
 
 def test_sample_pass_cap_and_determinism(titanic):
@@ -215,10 +207,3 @@ def test_missing_expr_counts_nan(spark):
     df = spark.createDataFrame(pdf)
     n = df.select(missing_expr(df, "a").alias("m")).agg(F.sum("m")).collect()[0][0]
     assert n == 2
-
-
-def test_freedman_diaconis():
-    assert compute.freedman_diaconis_bins(0, 1.0, 1.0, 50) == 50
-    assert compute.freedman_diaconis_bins(1000, 0.0, 1.0, 50) == 50
-    b = compute.freedman_diaconis_bins(1000, 1.0, 10.0, 50)
-    assert 1 <= b <= 200

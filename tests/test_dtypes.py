@@ -3,13 +3,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import types as T
 
-from repro.core.dtypes import (
-    EDAType,
-    categorical_columns,
-    detect_type,
-    detect_types,
-    numerical_columns,
-)
+from repro.core.dtypes import EDAType, detect_type, detect_types
 
 SCHEMA_CASES = [
     (T.IntegerType(), EDAType.NUMERICAL),
@@ -54,8 +48,8 @@ def test_detect_types_and_selectors(spark):
     assert types["n2"] is EDAType.NUMERICAL
     assert types["c1"] is EDAType.CATEGORICAL
     assert types["d1"] is EDAType.DATETIME
-    assert numerical_columns(df) == ["n1", "n2"]
-    assert categorical_columns(df) == ["c1"]
+    assert [c for c, t in types.items() if t is EDAType.NUMERICAL] == ["n1", "n2"]
+    assert [c for c, t in types.items() if t is EDAType.CATEGORICAL] == ["c1"]
 
 
 def test_table2_specs_detected_as_declared(spark):
@@ -63,5 +57,6 @@ def test_table2_specs_detected_as_declared(spark):
 
     df = datasets.load(spark, "automobile", partitions=2)
     spec = datasets.SPEC_BY_NAME["automobile"]
-    assert len(numerical_columns(df)) == spec.n_num
-    assert len(categorical_columns(df)) == spec.n_cat
+    types = list(detect_types(df).values())
+    assert types.count(EDAType.NUMERICAL) == spec.n_num
+    assert types.count(EDAType.CATEGORICAL) == spec.n_cat

@@ -120,23 +120,6 @@ class TestKendall:
         assert numutils.kendall_tau(x, y) == pytest.approx(numutils.kendall_tau(y, x))
 
 
-class TestKS:
-    def test_identical(self):
-        x = np.arange(100, dtype="float64")
-        assert numutils.ks_distance(x, x) == pytest.approx(0.0)
-
-    def test_disjoint(self):
-        assert numutils.ks_distance(np.arange(10.0), np.arange(10.0) + 100) == pytest.approx(1.0)
-
-    def test_known_half_shift(self):
-        a = np.array([0.0, 1.0, 2.0, 3.0])
-        b = np.array([2.0, 3.0, 4.0, 5.0])
-        assert numutils.ks_distance(a, b) == pytest.approx(0.5)
-
-    def test_empty(self):
-        assert np.isnan(numutils.ks_distance(np.array([]), np.arange(3.0)))
-
-
 class TestUniformity:
     def test_uniform_counts_score_zero(self):
         assert numutils.uniformity_pvalue_stat(np.full(10, 100)) == pytest.approx(0.0)
@@ -154,23 +137,3 @@ class TestUniformity:
     def test_degenerate(self):
         assert np.isnan(numutils.uniformity_pvalue_stat(np.array([5])))
         assert np.isnan(numutils.uniformity_pvalue_stat(np.zeros(4)))
-
-
-class TestPearson:
-    def test_perfect(self):
-        x = np.arange(20, dtype="float64")
-        assert numutils.pearson(x, 3 * x + 2) == pytest.approx(1.0)
-        assert numutils.pearson(x, -x) == pytest.approx(-1.0)
-
-    def test_matches_numpy(self):
-        g = np.random.default_rng(5)
-        x, y = g.random(200), g.random(200)
-        assert numutils.pearson(x, y) == pytest.approx(np.corrcoef(x, y)[0, 1])
-
-    def test_nan_dropped(self):
-        x = np.array([1.0, 2.0, np.nan, 4.0])
-        y = np.array([2.0, 4.0, 100.0, 8.0])
-        assert numutils.pearson(x, y) == pytest.approx(1.0)
-
-    def test_constant_is_nan(self):
-        assert np.isnan(numutils.pearson(np.full(10, 2.0), np.arange(10.0)))

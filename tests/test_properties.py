@@ -30,17 +30,6 @@ def test_kendall_bounded_and_self_tau(x):
     assert np.isnan(t2) or -1.0 - 1e-9 <= t2 <= 1.0 + 1e-9
 
 
-@given(
-    arrays(np.float64, st.integers(1, 40), elements=finite_floats),
-    arrays(np.float64, st.integers(1, 40), elements=finite_floats),
-)
-@settings(max_examples=30, deadline=None)
-def test_ks_distance_bounded_and_symmetric(a, b):
-    d = numutils.ks_distance(a, b)
-    assert 0.0 <= d <= 1.0
-    assert d == numutils.ks_distance(b, a)
-
-
 @given(arrays(np.float64, st.integers(2, 20), elements=st.floats(0, 1e6, allow_nan=False)))
 @settings(max_examples=30, deadline=None)
 def test_uniformity_nonnegative(counts):

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.substrate.sparkutils import melt, null_indicators, with_row_index
+from repro.substrate.sparkutils import with_row_index
 
 
 @pytest.fixture(scope="module")
@@ -17,23 +17,6 @@ def small(spark):
         }
     )
     return spark.createDataFrame(pdf)
-
-
-def test_melt_long_shape(small):
-    out = melt(small.select("a", "b"), ["a", "b"]).toPandas()
-    assert set(out.columns) == {"column", "value"}
-    assert len(out) == 8
-    assert set(out["column"]) == {"a", "b"}
-
-
-def test_melt_requires_columns(small):
-    with pytest.raises(ValueError):
-        melt(small, [])
-
-
-def test_melt_custom_names(small):
-    out = melt(small.select("a"), ["a"], var_name="col", value_name="v")
-    assert set(out.columns) == {"col", "v"}
 
 
 def test_with_row_index_contiguous(spark):
@@ -53,29 +36,3 @@ def test_with_row_index_preserves_rows(spark):
 def test_with_row_index_single_row(spark):
     out = with_row_index(spark.range(1)).toPandas()
     assert out["row_index"].tolist() == [0]
-
-
-def test_null_indicators_counts_nan_and_null(small):
-    out = null_indicators(small).toPandas()
-    assert out["a"].sum() == 1  # the NaN
-    assert out["b"].sum() == 1  # the None
-    assert out["c"].sum() == 1  # the None string
-    assert set(out.columns) == {"a", "b", "c"}
-
-
-def test_null_indicators_nan_flag_on_true_nan(spark):
-    # pandas ingestion converts NaN->NULL, so build a *computed* NaN: only
-    # a genuine float NaN distinguishes the two flag settings.
-    df = spark.sql(
-        "SELECT * FROM VALUES (CAST('NaN' AS DOUBLE)), (1.0), (NULL) AS t(a)"
-    )
-    with_nan = null_indicators(df, ["a"], nan_is_missing=True).toPandas()
-    without = null_indicators(df, ["a"], nan_is_missing=False).toPandas()
-    assert with_nan["a"].sum() == 2  # NaN and NULL
-    assert without["a"].sum() == 1   # NULL only
-
-
-def test_null_indicators_subset(small):
-    out = null_indicators(small, ["c"]).toPandas()
-    assert list(out.columns) == ["c"]
-    assert out["c"].tolist() == [0, 0, 1, 0]
