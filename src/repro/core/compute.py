@@ -11,10 +11,15 @@ implemented here:
   Spark's centred-moment aggregates, which stay exact at large offsets,
   and the quantile sketch rides in the same aggregate.
 * ``histogram_pass``     — histograms of all numeric columns via one
-  ``unpivot → groupBy(column, bin)`` (one shuffle for all columns). Bin
-  edges need min/max *before* the job can be built — the Spark analogue of
-  the paper's "precompute chunk sizes before constructing the graph" — and
-  are baked into the job as literals (``bin_index``).
+  ``unpivot → groupBy(column, bin)`` (one shuffle for all columns), for
+  ``plot(df)`` and ``plot(df, c)``, which run no Python scan. Bin edges
+  need min/max *before* the job can be built — the Spark analogue of the
+  paper's "precompute chunk sizes before constructing the graph" — and are
+  baked into the job as literals (``bin_index``). ``create_report`` counts
+  the same histograms in its co-moment scan instead
+  (``correlation.comoment_scan``), with the same edges and bin rule.
+* ``partition_rows``     — rows per partition: the offsets that scan
+  numbers rows with for the missing spectrum.
 * ``value_counts_pass``  — value counts of all categorical columns via one
   ``unpivot → groupBy(column, value)``.
 
@@ -225,6 +230,39 @@ def bin_edges(mn: float, mx: float, bins: int) -> np.ndarray:
     return np.linspace(mn, mx, bins + 1) if mx > mn else np.array([mn, mn])
 
 
+def histogram_edges(
+    num_cols: list[str], minmax: Mapping[str, tuple[float | None, float | None]], bins: int
+) -> dict[str, np.ndarray]:
+    """``bin_edges`` of each of ``num_cols`` that has finite values.
+
+    ``minmax`` comes from a previous pass (``basic_stats_pass``): the edges
+    are needed to *construct* the histogram job, mirroring the paper's
+    precompute-chunk-size stage.
+    """
+    edges = {}
+    for c in num_cols:
+        mn, mx = minmax.get(c, (None, None))
+        if mn is not None and mx is not None:
+            edges[c] = bin_edges(float(mn), float(mx), bins)
+    return edges
+
+
+#: the histogram of a column with no finite values
+NO_HISTOGRAM = (np.zeros(0, dtype="int64"), np.zeros(0, dtype="float64"))
+
+
+def partition_rows(df: DataFrame) -> dict[int, int]:
+    """Rows per non-empty partition of ``df``: ``{partition id: rows}``, in id order.
+
+    One ``groupBy(spark_partition_id()).count()``. The cumulative sums are
+    the partition offsets a scan numbers rows with (global row = offset of
+    its partition + position in it): the paper's chunk sizes, precomputed
+    before the graph that needs them is built.
+    """
+    rows = df.groupBy(F.spark_partition_id().alias("pid")).count().collect()
+    return dict(sorted((int(r["pid"]), int(r["count"])) for r in rows))
+
+
 def histogram_pass(
     df: DataFrame,
     num_cols: list[str],
@@ -233,24 +271,15 @@ def histogram_pass(
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Equi-width histograms of all numeric columns via one melted groupBy.
 
-    ``minmax`` must come from a previous pass (``basic_stats_pass``) — the
-    bin edges are needed to *construct* this job, mirroring the paper's
-    precompute-chunk-size stage. Returns ``{col: (counts, edges)}`` with
-    ``len(edges) == bins + 1``; columns with no finite values map to empty
-    counts.
+    Bin edges from ``histogram_edges``. Returns ``{col: (counts, edges)}``
+    with ``len(edges) == bins + 1`` (2 for a constant column); columns with
+    no finite values map to ``NO_HISTOGRAM``.
     """
-    usable = [
-        c for c in num_cols
-        if minmax.get(c, (None, None))[0] is not None
-        and minmax[c][1] is not None
-    ]
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {
-        c: (np.zeros(0, dtype="int64"), np.zeros(0, dtype="float64"))
-        for c in num_cols if c not in usable
-    }
+    edges = histogram_edges(num_cols, minmax, bins)
+    out = {c: NO_HISTOGRAM for c in num_cols if c not in edges}
+    usable = list(edges)
     if not usable:
         return out
-    edges = {c: bin_edges(float(minmax[c][0]), float(minmax[c][1]), bins) for c in usable}
     counts_pdf = (
         df.select([
             bin_index(finite(F.col(c)), edges[c][0], edges[c][-1], bins).alias(c)

@@ -10,7 +10,9 @@ Fusion strategy:
   partition emits centred m×m co-moment matrices, merged pairwise on the
   driver (single scan; pairwise-complete like ``pandas.DataFrame.corr``).
   The same scan carries the missing indicators the nullity heatmap needs,
-  so a report gets Pearson and nullity correlation from one pass.
+  and can count histograms and the missing spectrum on the way, so a
+  report gets Pearson, its histograms, nullity correlation and spectrum
+  from one pass.
 * Spearman — one rank-transform projection (average ranks with tie
   correction, per column) followed by the same Pearson on ranks.
   Columns are ranked once over their own non-nulls; under missing data this
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 import functools
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 import pandas as pd
@@ -65,7 +68,7 @@ def ranked(df: DataFrame, cols: list[str]) -> DataFrame:
     return clean.select(exprs)
 
 
-def _comoment_kernel(m: int):
+def _comoment_kernel(m: int, bins=(), spectrum=None):
     """The co-moment ``mapInPandas`` kernel over ``m`` double columns, and its merge.
 
     Returns ``(kernel, merge)``. A partial is ``(rows, N, MU, M2, C)``; for
@@ -82,6 +85,21 @@ def _comoment_kernel(m: int):
     Chan, Golub & LeVeque (1983) for M2 and Pébay (SAND2008-6212) for C, so
     no raw power sum ever cancels. Numpy matmuls replace m² Catalyst
     aggregates whose generated code would exhaust the JVM code cache.
+
+    ``bins`` holds ``(position, mn, width, nbins)`` per histogram: the
+    finite values of column ``position`` are counted into ``nbins`` bins by
+    ``compute.bin_index``'s rule, ``floor((v − mn) / width)`` capped at
+    ``nbins − 1``, all in bin 0 when ``width`` is 0 (a constant column).
+    The partition's counts travel in an extra ``hist`` column.
+
+    ``spectrum`` is ``(offsets, nrows, nseg, first)``: batch column ``m``
+    is ``monotonically_increasing_id()``, whose high bits are the partition
+    id ``pid`` and low 33 bits the row's position ``i`` in the partition.
+    The row is global row ``offsets[pid] + i``, in segment
+    ``min(row·nseg // nrows, nseg − 1)``; columns ``first … m−1`` are 0/1
+    missing indicators. The rows per segment and the indicators' sums per
+    (segment, column) travel in an extra ``spectrum`` column, beside the
+    partition id in ``pid``.
 
     Everything the kernel calls is defined in here: cloudpickle ships a
     closure by value but a module-level function by reference, and the
@@ -113,15 +131,47 @@ def _comoment_kernel(m: int):
         MU = np.where(Na > 0, MUa + D * fb, MUb)
         return rows_a + rows_b, N, MU, M2a + M2b + D * D * W, Ca + Cb + D * D.T * W
 
+    def histogram(v, mn, width, nbins):
+        v = v[np.isfinite(v)]
+        if width == 0:
+            index = np.zeros(v.size, dtype="int64")
+        else:
+            index = np.minimum(np.floor((v - mn) / width), nbins - 1).astype("int64")
+        return np.bincount(index, minlength=nbins)
+
     def kernel(batches):
-        acc = None
+        acc, pid = None, None
+        hist = [np.zeros(nbins, dtype="int64") for _, _, _, nbins in bins]
+        if spectrum is not None:
+            offsets, nrows, nseg, first = spectrum
+            k = m - first
+            seg_rows = np.zeros(nseg, dtype="int64")
+            seg_missing = np.zeros((nseg, k), dtype="int64")
         for pdf in batches:
             if len(pdf) == 0:
                 continue
-            part = moments(pdf.to_numpy(dtype="float64", na_value=np.nan))
+            X = pdf.iloc[:, :m].to_numpy(dtype="float64", na_value=np.nan)
+            if spectrum is not None:
+                rowid = pdf.iloc[:, m].to_numpy(dtype="int64")
+                pid = int(rowid[0] >> 33)
+                row = offsets.get(pid, 0) + (rowid & ((1 << 33) - 1))
+                seg = np.minimum(row * nseg // nrows, nseg - 1)
+                seg_rows += np.bincount(seg, minlength=nseg)
+                flat = (seg[:, None] * k + np.arange(k)).ravel()
+                sums = np.bincount(flat, weights=X[:, first:].ravel(), minlength=nseg * k)
+                seg_missing += sums.reshape(nseg, k).astype("int64")
+            for h, (pos, mn, width, nbins) in zip(hist, bins):
+                h += histogram(X[:, pos], mn, width, nbins)
+            part = moments(X)
             acc = part if acc is None else merge(acc, part)
         if acc is not None:
-            yield pd.DataFrame({"payload": [pickle.dumps(acc)]})
+            out = {"payload": [pickle.dumps(acc)]}
+            if bins:
+                out["hist"] = [pickle.dumps(hist)]
+            if spectrum is not None:
+                out["pid"] = [pid]
+                out["spectrum"] = [pickle.dumps((seg_rows, seg_missing))]
+            yield pd.DataFrame(out)
 
     return kernel, merge
 
@@ -133,6 +183,9 @@ class CoMoments:
     Positions ``0 … len(cols)-1`` of the m×m arrays are the value columns,
     the rest the 0/1 missing indicators of ``indicators``; see
     ``_comoment_kernel`` for what ``n``, ``mean``, ``m2`` and ``c`` hold.
+    ``hists`` maps each binned column to ``(counts, edges)``; ``segments``
+    holds the spectrum's rows per segment and missing cells per (segment,
+    indicator), when the scan counted them.
     """
 
     cols: list[str]
@@ -142,6 +195,8 @@ class CoMoments:
     mean: np.ndarray
     m2: np.ndarray
     c: np.ndarray
+    hists: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    segments: tuple[np.ndarray, np.ndarray] | None = None
 
     def _corr(self, pos: list[int], labels: list[str]) -> pd.DataFrame:
         ix = np.ix_(pos, pos)
@@ -167,9 +222,30 @@ class CoMoments:
         pos = {c: len(self.cols) + i for i, c in enumerate(self.indicators)}
         return self._corr([pos[c] for c in cols], cols)
 
+    def spectrum(self) -> pd.DataFrame:
+        """The missing spectrum: one row per (segment holding rows, indicator).
+
+        Columns ``segment`` (int32), ``column``, ``missing_rate`` (missing
+        cells / rows) and ``n`` (rows, int64), sorted by segment then column.
+        """
+        rows, missing = self.segments
+        seg = np.flatnonzero(rows)
+        order = sorted(range(len(self.indicators)), key=self.indicators.__getitem__)
+        k = len(order)
+        return pd.DataFrame({
+            "segment": np.repeat(seg, k).astype("int32"),
+            "column": np.tile(np.array(self.indicators, dtype=object)[order], seg.size),
+            "missing_rate": (missing[np.ix_(seg, order)] / rows[seg, None]).ravel(),
+            "n": np.repeat(rows[seg], k).astype("int64"),
+        })
+
 
 def comoment_scan(
-    df: DataFrame, cols: list[str], indicators: list[str] = ()
+    df: DataFrame,
+    cols: list[str],
+    indicators: list[str] = (),
+    edges: Mapping[str, np.ndarray] | None = None,
+    spectrum_bins: int | None = None,
 ) -> CoMoments:
     """Co-moments of ``cols`` and of the missing indicators of ``indicators``.
 
@@ -177,22 +253,72 @@ def comoment_scan(
     nullity correlation, the row count and the missing counts all come out
     of it. NaN/±inf values are left out pairwise; an indicator is 1 where
     the cell is null, or NaN in a float column.
+
+    The same scan also counts, when asked:
+
+    * ``edges`` — ``{col: compute.bin_edges(...)}`` for columns of ``cols``:
+      the histograms ``compute.histogram_pass`` would count, in ``hists``;
+    * ``spectrum_bins`` — the missing spectrum of ``indicators`` over that
+      many row segments (``CoMoments.spectrum``). Rows are numbered in
+      partition order: ``compute.partition_rows`` runs first and its
+      cumulative sums, the partition offsets, are baked into the kernel.
+      That relies on the frame having the same partition layout in both
+      jobs; a scan whose rows per partition differ raises ``RuntimeError``.
     """
     cols, indicators = list(cols), list(indicators)
     exprs = [F.col(c).cast("double") for c in cols]
     exprs += [e.cast("double") for e in compute.missing_exprs(df, indicators)]
     m = len(exprs)
-    kernel, merge = _comoment_kernel(m)
+    edges = edges or {}
+    # (position, mn, width, nbins); a constant column's edges [mn, mn] give width 0
+    bins = [
+        (cols.index(c), e[0], (e[-1] - e[0]) / (len(e) - 1), len(e) - 1) for c, e in edges.items()
+    ]
+    schema = "payload BINARY" + (", hist BINARY" if bins else "")
+    spectrum, layout = None, None
+    if spectrum_bins is not None:
+        layout = compute.partition_rows(df)
+        offsets = dict(zip(layout, np.cumsum([0, *layout.values()])[:-1].tolist()))
+        spectrum = (offsets, max(sum(layout.values()), 1), spectrum_bins, len(cols))
+        # not spark_partition_id(): Catalyst folds a projection over a local
+        # relation on the driver as partition 0, then scans its rows in
+        # several tasks; the id's low bits still number them in order
+        exprs.append(F.monotonically_increasing_id())
+        schema += ", pid INT, spectrum BINARY"
+    kernel, merge = _comoment_kernel(m, bins, spectrum)
     rows = (
         df.select([e.alias(f"_{i}") for i, e in enumerate(exprs)])
-        .mapInPandas(kernel, "payload BINARY")
+        .mapInPandas(kernel, schema)
         .collect()
     )
+    partials = [pickle.loads(bytes(r["payload"])) for r in rows]
     zero = np.zeros((m, m))
-    nrows, n, mean, m2, c = functools.reduce(
-        merge, (pickle.loads(bytes(r["payload"])) for r in rows), (0, zero, zero, zero, zero)
-    )
-    return CoMoments(cols, indicators, int(nrows), n, mean, m2, c)
+    nrows, n, mean, m2, c = functools.reduce(merge, partials, (0, zero, zero, zero, zero))
+    out = CoMoments(cols, indicators, int(nrows), n, mean, m2, c)
+    counts = [pickle.loads(bytes(r["hist"])) for r in rows] if bins else []
+    for i, col in enumerate(edges):
+        zeros = np.zeros(len(edges[col]) - 1, dtype="int64")
+        out.hists[col] = (sum((h[i] for h in counts), zeros), edges[col])
+    if spectrum is not None:
+        scanned: dict[int, int] = {}
+        for r, p in zip(rows, partials):
+            scanned[r["pid"]] = scanned.get(r["pid"], 0) + p[0]
+        moved = {
+            pid: (layout.get(pid, 0), scanned.get(pid, 0))
+            for pid in sorted(layout.keys() | scanned.keys())
+            if layout.get(pid, 0) != scanned.get(pid, 0)
+        }
+        if moved:
+            raise RuntimeError(
+                "the partition layout changed between compute.partition_rows and the "
+                f"scan; (counted, scanned) rows per partition: {moved}"
+            )
+        parts = [pickle.loads(bytes(r["spectrum"])) for r in rows]
+        out.segments = (
+            sum((p[0] for p in parts), np.zeros(spectrum_bins, dtype="int64")),
+            sum((p[1] for p in parts), np.zeros((spectrum_bins, len(indicators)), dtype="int64")),
+        )
+    return out
 
 
 def pearson_matrix(df: DataFrame, cols: list[str]) -> pd.DataFrame:

@@ -3,7 +3,10 @@ after the Missingno library the paper derives its mapping rules from.
 
 * ``plot_missing(df)`` — missing bar chart, missing **spectrum** (per
   row-segment missing rate), **nullity correlation** heatmap, and a
-  **dendrogram** of columns clustered by nullity similarity.
+  **dendrogram** of columns clustered by nullity similarity. All four come
+  from one ``comoment_scan`` of the missing indicators, after
+  ``compute.partition_rows`` has counted the rows per partition: the
+  partition offsets number the rows the spectrum cuts into segments.
 * ``plot_missing(df, c1)`` — for every other column, its distribution
   before vs after dropping the rows where ``c1`` is missing (the paper
   notes this is the most expensive task: two frequency distributions per
@@ -28,36 +31,21 @@ from repro.core.insights import missing_insights
 from repro.core.intermediates import EDAResult, Intermediates
 from repro.core.render import render
 from repro.substrate.cluster import cluster_order, linkage_average
-from repro.substrate.sparkutils import with_row_index
 
 
 def spectrum_pass(df: DataFrame, bins: int, nrows: int | None = None) -> pd.DataFrame:
     """Missing rate per (row segment, column): the missing spectrum plot.
 
-    Rows are assigned contiguous indices with the partition-offset
-    technique (no single-partition collapse), bucketed into ``bins``
-    segments, melted, and aggregated in one shuffle for all columns.
-    ``nrows`` (when already known from a stats pass) avoids a count job.
+    ``compute.partition_rows`` plus one scan of the missing indicators
+    (``comoment_scan``): row ``r`` of ``nrows`` (numbered in partition
+    order, from the partition offsets) falls in segment
+    ``min(r·bins // nrows, bins − 1)``. ``nrows``, when the caller has it,
+    must equal the frame's row count.
     """
-    indicators = compute.missing_exprs(df, df.columns)
-    indexed = with_row_index(
-        df.select([e.alias(c) for e, c in zip(indicators, df.columns)]), "__row"
-    )
-    if nrows is None:
-        nrows = indexed.count()
-    nrows = max(nrows, 1)
-    bucket = F.least(
-        F.floor(F.col("__row") * bins / F.lit(nrows)).cast("int"), F.lit(bins - 1)
-    )
-    out = (
-        indexed.withColumn("__bucket", bucket)
-        .unpivot(["__bucket"], df.columns, "column", "is_missing")
-        .groupBy("__bucket", "column")
-        .agg(F.avg("is_missing").alias("missing_rate"), F.count(F.lit(1)).alias("n"))
-        .orderBy("__bucket", "column")
-        .toPandas()
-    )
-    return out.rename(columns={"__bucket": "segment"})
+    moments = comoment_scan(df, [], df.columns, spectrum_bins=bins)
+    if nrows is not None and nrows != moments.nrows:
+        raise ValueError(f"nrows={nrows}, but the frame has {moments.nrows} rows")
+    return moments.spectrum()
 
 
 def nullity_correlation(moments: CoMoments) -> pd.DataFrame:
@@ -87,11 +75,12 @@ def nullity_dendrogram(corr: pd.DataFrame) -> dict[str, object]:
     return {"columns": cols, "linkage": Z, "leaf_order": cluster_order(Z, m)}
 
 
-def missing_view(moments: CoMoments, spectrum: pd.DataFrame) -> Intermediates:
-    """The ``plot_missing(df)`` intermediates from a co-moment scan and a spectrum.
+def missing_view(moments: CoMoments) -> Intermediates:
+    """The ``plot_missing(df)`` intermediates from a co-moment scan.
 
-    ``moments`` carries every column's missing indicator: the row count, the
-    missing counts and the nullity correlation all come out of it.
+    ``moments`` carries every column's missing indicator and their spectrum
+    (``comoment_scan(..., spectrum_bins=...)``): the row count, the missing
+    counts, the spectrum and the nullity correlation all come out of it.
     """
     nrows, miss = moments.nrows, moments.missing()
     corr = nullity_correlation(moments)
@@ -99,17 +88,16 @@ def missing_view(moments: CoMoments, spectrum: pd.DataFrame) -> Intermediates:
     inter["nrows"] = nrows
     inter["bar"] = miss
     inter["missing_rate"] = (miss / nrows) if nrows else miss.astype("float64")
-    inter["spectrum"] = spectrum
+    inter["spectrum"] = moments.spectrum()
     inter["nullity_corr"] = corr
     inter["dendrogram"] = nullity_dendrogram(corr)
     return inter
 
 
 def compute_missing(df: DataFrame, cfg: Config) -> Intermediates:
-    """Intermediates for ``plot_missing(df)``: one co-moment scan over the
-    missing indicators, then the spectrum pass."""
-    moments = comoment_scan(df, [], df.columns)
-    return missing_view(moments, spectrum_pass(df, cfg["spectrum.bins"], moments.nrows))
+    """Intermediates for ``plot_missing(df)``: ``compute.partition_rows`` and
+    one scan of the missing indicators for counts, nullity and spectrum."""
+    return missing_view(comoment_scan(df, [], df.columns, spectrum_bins=cfg["spectrum.bins"]))
 
 
 def _before_after_numeric(

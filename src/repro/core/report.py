@@ -13,19 +13,22 @@ intermediates computed once, distributed to each visualization):
                                     sketch, all columns — one melted
                                     aggregate per type class)
 2.  one duplicate-row count        (1 scan)
-3.  one ``histogram_pass``         (all numeric histograms — 1 melted shuffle;
-                                    bin edges from pass 1, the paper's
-                                    precompute-metadata stage)
-4.  one ``value_counts_pass``      (all categorical bars — 1 melted shuffle)
-5.  one ``sample_pass``            (one seeded sample of the finite numeric
+3.  one ``value_counts_pass``      (all categorical bars — 1 melted shuffle)
+4.  one ``sample_pass``            (one seeded sample of the finite numeric
                                     values, shared by KDE, Kendall and the
                                     interactions)
-6.  one ``comoment_scan``          (Pearson of all numeric pairs and the
-                                    nullity correlation of all columns —
-                                    1 scan)
+5.  one ``compute.partition_rows`` (rows per partition, whose cumulative
+                                    sums number the rows of pass 6)
+6.  one ``comoment_scan``          (1 Python scan: Pearson of all numeric
+                                    pairs, every numeric histogram, the
+                                    nullity correlation and the exact
+                                    missing spectrum of all columns; the
+                                    bin edges from pass 1 and the partition
+                                    offsets from pass 5 are baked into the
+                                    kernel — the paper's precompute-metadata
+                                    stage)
 7.  Spearman: a driver-side rank of the numeric projection (1 collect), or
     a distributed rank transform + co-moment scan above the cell budget
-8.  the spectrum jobs for the missing section
 
 The views then shape each section on the driver:
 ``univariate.numerical_view`` / ``categorical_view`` per variable,
@@ -45,7 +48,7 @@ from repro.core.correlation import comoment_scan, kendall_matrix, spearman_matri
 from repro.core.dtypes import EDAType, detect_types
 from repro.core.insights import correlation_insights, dataset_insights, univariate_insights
 from repro.core.intermediates import EDAResult, Insight, Intermediates
-from repro.core.missing import missing_view, spectrum_pass
+from repro.core.missing import missing_view
 from repro.core.overview import dataset_stats, duplicate_rows_pass
 from repro.core.render import render_report, stats_table, svg_bars, svg_line
 from repro.core.univariate import categorical_view, numerical_view, quantile_probs
@@ -91,7 +94,6 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
     n_dup = duplicate_rows_pass(df, nrows)
     quantiles = {c: stats[c].pop("quantiles") for c in num_cols}
     minmax = {c: (stats[c]["min"], stats[c]["max"]) for c in num_cols}
-    hists = compute.histogram_pass(df, num_cols, minmax, cfg["hist.bins"])
     value_counts = compute.value_counts_pass(df, cat_cols)
     sample = (
         compute.sample_pass(
@@ -105,8 +107,11 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
     # because a ``finite`` projection costs ~80 py4j round trips a column
     sample = sample.where(np.isfinite(sample))
 
-    # one scan for the Pearson matrix and the nullity heatmap
-    moments = comoment_scan(df, num_cols, df.columns)
+    # one scan for the Pearson matrix, the histograms, the nullity heatmap
+    # and the missing spectrum
+    edges = compute.histogram_edges(num_cols, minmax, cfg["hist.bins"])
+    moments = comoment_scan(df, num_cols, df.columns, edges, cfg["spectrum.bins"])
+    hists = {c: moments.hists.get(c, compute.NO_HISTOGRAM) for c in num_cols}
     corr: dict[str, pd.DataFrame] = {}
     methods = cfg["correlation.methods"]
     if "pearson" in methods:
@@ -115,7 +120,6 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
         corr["spearman"] = spearman_matrix(df, num_cols, nrows=nrows)
     if "kendall" in methods:
         corr["kendall"] = kendall_matrix(sample.head(cfg["kendall.sample_size"]), num_cols)
-    spectrum = spectrum_pass(df, cfg["spectrum.bins"], nrows)
 
     # -- pandas Computation phase (the task views) -----------------------
     variables: dict[str, Intermediates] = {}
@@ -137,7 +141,7 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
     inter["variables"] = variables
     inter["interactions"] = _hexbins(sample, num_cols, cfg["hexbin.gridsize"])
     inter["correlations"] = corr
-    inter["missing"] = missing_view(moments, spectrum)
+    inter["missing"] = missing_view(moments)
     inter["value_counts"] = value_counts
     return inter
 

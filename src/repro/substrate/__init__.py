@@ -4,6 +4,8 @@
                 Kendall tau-b, uniformity statistic).
 ``cluster``   — agglomerative hierarchical clustering + dendrogram linkage,
                 replacing scipy.cluster for the nullity dendrogram.
-``sparkutils``— Spark DataFrame helpers: the contiguous row index of the
-                missing spectrum.
+
+The passes call Spark's DataFrame API directly; the missing spectrum numbers
+rows with partition offsets inside the co-moment scan
+(``core.correlation.comoment_scan``).
 """

@@ -11,7 +11,7 @@ import pandas as pd
 import pytest
 from pyspark import cloudpickle
 
-from repro.core import compute
+from repro.core import compute, create_report
 from repro.core.correlation import _comoment_kernel, comoment_scan
 from repro.core.dtypes import EDAType, detect_types
 
@@ -59,7 +59,9 @@ def _scan(df):
     return comoment_scan(df, num, df.columns)
 
 
-@pytest.mark.parametrize("run", [_stats, _scan], ids=["basic_stats_pass", "comoment_scan"])
+@pytest.mark.parametrize(
+    "run", [_stats, _scan, create_report], ids=["basic_stats_pass", "comoment_scan", "create_report"]
+)
 def test_job_count_independent_of_width(spark, narrow_and_wide, run):
     narrow, wide = narrow_and_wide
     assert len(narrow.columns) == 8 and len(wide.columns) == 40
@@ -109,3 +111,39 @@ def test_comoment_kernel_runs_without_the_package(tmp_path):
     )
     assert res.returncode == 0, res.stderr.decode()
     assert res.stdout.decode().split() == ["3", "2.0", "4.5"]
+
+
+_LOAD_WITHOUT_PACKAGE = _RUN_WITHOUT_PACKAGE[: _RUN_WITHOUT_PACKAGE.index("batch = ")]
+_RUN_WITH_BINS_AND_SPECTRUM = _LOAD_WITHOUT_PACKAGE + textwrap.dedent(
+    """
+    # value a, the indicator of b, then monotonically_increasing_id() in
+    # partition 1, whose rows are global rows 2-4 of 5
+    batch = pd.DataFrame(
+        {"a": [1.0, 2.0, 4.0], "b": [0.0, 1.0, 1.0], "id": [2**33 + i for i in range(3)]}
+    )
+    (out,) = kernel(iter([batch]))
+    rows = pickle.loads(out["payload"][0])[0]
+    (hist,) = pickle.loads(out["hist"][0])
+    seg_rows, seg_missing = pickle.loads(out["spectrum"][0])
+    print(rows, out["pid"][0], *hist, *seg_rows, *seg_missing.ravel())
+    """
+)
+
+
+def test_comoment_kernel_with_bins_and_spectrum_runs_without_the_package(tmp_path):
+    """The same, with a histogram and a spectrum baked into the kernel."""
+    bins = [(0, 1.0, 1.5, 2)]  # column 0 over [1, 4] in 2 bins of width 1.5
+    kernel, _ = _comoment_kernel(2, bins, ({1: 2}, 5, 2, 1))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    res = subprocess.run(
+        [sys.executable, "-c", _RUN_WITH_BINS_AND_SPECTRUM],
+        input=cloudpickle.dumps(kernel),
+        capture_output=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr.decode()
+    # a: 1 and 2 in bin 0, 4 capped into bin 1; rows 2-4 of 5 in 2
+    # segments: row 2 in segment 0, rows 3 and 4 (both b missing) in 1
+    assert res.stdout.decode().split() == ["3", "1", "2", "1", "1", "2", "0", "2"]
