@@ -29,7 +29,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.compute import finite, missing_expr
+from repro.core.compute import bin_edges, bin_index, finite, missing_expr
 from repro.core.config import Config
 from repro.core.correlation import kendall_matrix
 from repro.core.dtypes import EDAType, detect_types
@@ -78,22 +78,16 @@ def _profile_numeric_column(df: DataFrame, col: str, cfg: Config) -> dict[str, o
     mn, mx = stats["min"], stats["max"]
     bins = cfg["hist.bins"]
     if mn is not None and mx is not None and mx > mn:
-        width = (mx - mn) / bins
         counts_pdf = (
             proj.where(F.col(col).isNotNull())
-            .select(
-                F.least(
-                    F.floor((F.col(col) - F.lit(mn)) / F.lit(width)).cast("int"),
-                    F.lit(bins - 1),
-                ).alias("bin")
-            )
+            .select(bin_index(F.col(col), mn, mx, bins).alias("bin"))
             .groupBy("bin")
             .count()
             .toPandas()                                                            # action 12
         )
         counts = np.zeros(bins, dtype="int64")
         counts[counts_pdf["bin"].to_numpy("int64")] = counts_pdf["count"].to_numpy("int64")
-        stats["hist"] = (counts, np.linspace(mn, mx, bins + 1))
+        stats["hist"] = (counts, bin_edges(mn, mx, bins))
     else:
         stats["hist"] = (np.zeros(0, dtype="int64"), np.zeros(0))
     return stats

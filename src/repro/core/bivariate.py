@@ -24,20 +24,10 @@ from repro.core.dtypes import EDAType, detect_type
 from repro.core.intermediates import Intermediates
 
 
-def _minmax(df: DataFrame, cols: list[str]) -> dict[str, tuple[float, float]]:
-    """Single-job min/max of the given numeric columns' finite values (bin-edge metadata)."""
-    exprs = []
-    for c in cols:
-        v = compute.finite(F.col(c))
-        exprs += [F.min(v).alias(f"{c}__mn"), F.max(v).alias(f"{c}__mx")]
-    row = df.agg(*exprs).collect()[0]
-    return {c: (row[f"{c}__mn"], row[f"{c}__mx"]) for c in cols}
-
-
 def compute_num_num(df: DataFrame, x: str, y: str, cfg: Config) -> Intermediates:
     """NN pair: scatter sample + hexbin grid + binned box plot."""
     proj = df.where(compute.finite(F.col(x)).isNotNull() & compute.finite(F.col(y)).isNotNull())
-    mm = _minmax(proj, [x, y])
+    mm = compute.finite_minmax(proj, [x, y])
     (x_mn, x_mx), (y_mn, y_mx) = mm[x], mm[y]
 
     inter = Intermediates(task=f"bivariate:{x}:{y}")

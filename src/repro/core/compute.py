@@ -10,18 +10,22 @@ implemented here:
   job count do not grow with the number of columns. Moments come from
   Spark's centred-moment aggregates, which stay exact at large offsets,
   and the quantile sketch rides in the same aggregate.
-* ``histogram_pass``     — histograms of all numeric columns via one
-  ``unpivot → groupBy(column, bin)`` (one shuffle for all columns), for
-  ``plot(df)`` and ``plot(df, c)``, which run no Python scan. Bin edges
-  need min/max *before* the job can be built — the Spark analogue of the
-  paper's "precompute chunk sizes before constructing the graph" — and are
-  baked into the job as literals (``bin_index``). ``create_report`` counts
-  the same histograms in its co-moment scan instead
-  (``correlation.comoment_scan``), with the same edges and bin rule.
+* ``binned_counts``      — the one histogram count: all numeric columns
+  binned, melted and counted by one ``unpivot → groupBy(column, bin)``
+  (one shuffle for all columns). Bin edges need min/max *before* the job
+  can be built — the Spark analogue of the paper's "precompute chunk sizes
+  before constructing the graph" — and are baked into the job as literals
+  (``bin_index``). ``create_report`` counts the same histograms in its
+  co-moment scan instead (``correlation.comoment_scan``), with the same
+  edges and bin rule.
+* ``category_counts``    — the one value count: all categorical columns
+  melted and counted by one ``unpivot → groupBy(column, value)``, cut to
+  the top values per column with their exact totals in the same action.
+* ``histogram_pass`` / ``value_counts_pass`` — those counts shaped for
+  ``plot(df)``, ``plot(df, c)`` and ``create_report``; ``plot_missing(df,
+  c)`` runs the same two counts with one extra "after the drop" sum.
 * ``partition_rows``     — rows per partition: the offsets that scan
   numbers rows with for the missing spectrum.
-* ``value_counts_pass``  — value counts of all categorical columns via one
-  ``unpivot → groupBy(column, value)``.
 
 Each pass reduces the distributed frame to a tiny pandas object; everything
 downstream (KDE, Q-Q, box stats, insights) is driver-side pandas/numpy —
@@ -33,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.dtypes import EDAType
@@ -263,97 +267,144 @@ def partition_rows(df: DataFrame) -> dict[int, int]:
     return dict(sorted((int(r["pid"]), int(r["count"])) for r in rows))
 
 
+def finite_minmax(df: DataFrame, cols: list[str]) -> dict[str, tuple[float | None, float | None]]:
+    """Min and max of each column's finite values, one aggregate for all ``cols``.
+
+    The bin-edge metadata of the calls that run no stats pass; None when a
+    column has no finite values.
+    """
+    row = df.agg(*[f(finite(F.col(c))) for c in cols for f in (F.min, F.max)]).collect()[0]
+    return {c: (row[2 * i], row[2 * i + 1]) for i, c in enumerate(cols)}
+
+
+def _melted_counts(
+    df: DataFrame, values: Mapping[str, Column], key: str, keep: Column | None
+) -> DataFrame:
+    """Rows per ``(column, key)``: ``values`` unpivoted, null keys dropped, grouped once.
+
+    The counts are ``count``; with ``keep`` (a boolean Column) also
+    ``after``, the rows of the group that ``keep`` holds.
+    """
+    projection = [v.alias(c) for c, v in values.items()]
+    ids, aggs = [], [F.count(F.lit(1)).alias("count")]
+    if keep is not None:
+        projection.append(keep.cast("long").alias("__keep"))
+        ids.append("__keep")
+        aggs.append(F.sum("__keep").alias("after"))
+    return (
+        df.select(projection)
+        .unpivot(ids, list(values), "column", key)
+        .where(F.col(key).isNotNull())
+        .groupBy("column", key)
+        .agg(*aggs)
+    )
+
+
+def binned_counts(
+    df: DataFrame, edges: Mapping[str, np.ndarray], keep: Column | None = None
+) -> dict[str, pd.DataFrame]:
+    """Rows per bin of each column's finite values: one melted ``groupBy(column, bin)``.
+
+    Each column of ``edges`` is binned by ``bin_index`` with its edges baked
+    in as literals; missing and infinite values fall in no bin. Returns
+    ``{col: frame}`` with int64 columns ``bin`` (every bin, in order) and
+    ``count``, and the edges in ``frame.attrs["edges"]``. With ``keep``, a
+    boolean Column true on the rows that survive a drop, the frame also has
+    ``after``: the bin's rows that ``keep`` holds, summed in the same
+    shuffle.
+    """
+    if not edges:
+        return {}
+    binned = {c: bin_index(finite(F.col(c)), e[0], e[-1], len(e) - 1) for c, e in edges.items()}
+    pdf = _melted_counts(df, binned, "bin", keep).toPandas()
+    names = list(pdf.columns[2:])
+    out = {}
+    for c, e in edges.items():
+        sub = pdf[pdf["column"] == c]
+        dense = np.zeros((len(e) - 1, len(names)), dtype="int64")
+        dense[sub["bin"].to_numpy(dtype="int64")] = sub[names].to_numpy(dtype="int64")
+        out[c] = pd.DataFrame({"bin": np.arange(len(e) - 1), **dict(zip(names, dense.T))})
+        out[c].attrs["edges"] = e
+    return out
+
+
+def category_counts(
+    df: DataFrame, cols: list[str], limit: int, keep: Column | None = None
+) -> tuple[dict[str, pd.DataFrame], dict[str, tuple[int, int]]]:
+    """Exact value counts of ``cols`` as strings: one melted ``groupBy(column, value)``, one action.
+
+    Each column keeps its top ``limit`` values (``row_number`` over count
+    descending, value ascending) as a frame with columns ``value`` and int64
+    ``count``, in that order. The second result maps each column to its
+    exact ``(n_distinct, n_total)`` (distinct and non-null values), windowed
+    over the whole column before the cut; ``(0, 0)`` for an all-null column.
+    With ``keep`` (as in ``binned_counts``) each frame also has ``after``.
+    """
+    if not cols:
+        return {}, {}
+    ranked = Window.partitionBy("column").orderBy(F.desc("count"), F.asc("value"))
+    column = Window.partitionBy("column")
+    top = (
+        _melted_counts(df, {c: F.col(c).cast("string") for c in cols}, "value", keep)
+        .select(
+            "*",
+            F.row_number().over(ranked).alias("rank"),
+            F.count(F.lit(1)).over(column).alias("n_distinct"),
+            F.sum("count").over(column).alias("n_total"),
+        )
+        .where(F.col("rank") <= limit)
+        .toPandas()
+    )
+    names = ["value", "count"] + (["after"] if keep is not None else [])
+    frames, totals = {}, {}
+    for c in cols:
+        sub = top[top["column"] == c].sort_values(["count", "value"], ascending=[False, True])
+        frames[c] = sub[names].reset_index(drop=True)
+        totals[c] = (
+            (int(sub["n_distinct"].iloc[0]), int(sub["n_total"].iloc[0])) if len(sub) else (0, 0)
+        )
+    return frames, totals
+
+
 def histogram_pass(
     df: DataFrame,
     num_cols: list[str],
     minmax: Mapping[str, tuple[float | None, float | None]],
     bins: int,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Equi-width histograms of all numeric columns via one melted groupBy.
+    """Equi-width histograms of all numeric columns: ``binned_counts`` over ``histogram_edges``.
 
-    Bin edges from ``histogram_edges``. Returns ``{col: (counts, edges)}``
-    with ``len(edges) == bins + 1`` (2 for a constant column); columns with
-    no finite values map to ``NO_HISTOGRAM``.
+    Returns ``{col: (counts, edges)}`` with ``len(edges) == bins + 1`` (2
+    for a constant column); columns with no finite values map to
+    ``NO_HISTOGRAM``.
     """
     edges = histogram_edges(num_cols, minmax, bins)
-    out = {c: NO_HISTOGRAM for c in num_cols if c not in edges}
-    usable = list(edges)
-    if not usable:
-        return out
-    counts_pdf = (
-        df.select([
-            bin_index(finite(F.col(c)), edges[c][0], edges[c][-1], bins).alias(c)
-            for c in usable
-        ])
-        .unpivot([], usable, "column", "bin")
-        .where(F.col("bin").isNotNull())
-        .groupBy("column", "bin")
-        .count()
-        .toPandas()
-    )
-    for c in usable:
-        counts = np.zeros(len(edges[c]) - 1, dtype="int64")
-        sub = counts_pdf[counts_pdf["column"] == c]
-        counts[sub["bin"].to_numpy(dtype="int64")] = sub["count"].to_numpy(dtype="int64")
-        out[c] = (counts, edges[c])
-    return out
+    counts = binned_counts(df, edges)
+    return {
+        c: (counts[c]["count"].to_numpy(), edges[c]) if c in edges else NO_HISTOGRAM
+        for c in num_cols
+    }
 
 
 def value_counts_pass(
     df: DataFrame, cat_cols: list[str], limit: int = 1000
 ) -> dict[str, pd.Series]:
-    """Exact value counts of all categorical columns via one melted groupBy.
+    """Exact value counts of all categorical columns: ``category_counts`` as Series.
 
     Each column's series is capped at ``limit`` values (descending count,
     ascending value tie-break) and carries exact ``n_distinct`` / ``n_total``
     (non-null) in ``series.attrs`` so overview stats stay exact even when
     the head is truncated.
     """
-    if not cat_cols:
-        return {}
-    stacked = (
-        df.select([F.col(c).cast("string").alias(c) for c in cat_cols])
-        .unpivot([], cat_cols, "column", "value")
-        .where(F.col("value").isNotNull())
-    )
-    counts = stacked.groupBy("column", "value").count()
-    counts.persist()
-    try:
-        from pyspark.sql import Window
-
-        w = Window.partitionBy("column").orderBy(F.desc("count"), F.asc("value"))
-        top_pdf = (
-            counts.withColumn("rn", F.row_number().over(w))
-            .where(F.col("rn") <= limit)
-            .toPandas()
-        )
-        totals_pdf = (
-            counts.groupBy("column")
-            .agg(
-                F.count(F.lit(1)).alias("n_distinct"),
-                F.sum("count").alias("n_total"),
-            )
-            .toPandas()
-        )
-    finally:
-        counts.unpersist()
-    totals = totals_pdf.set_index("column")
+    frames, totals = category_counts(df, cat_cols, limit)
     out: dict[str, pd.Series] = {}
-    for c in cat_cols:
-        sub = top_pdf[top_pdf["column"] == c].sort_values(
-            ["count", "value"], ascending=[False, True]
-        )
+    for c, frame in frames.items():
         s = pd.Series(
-            sub["count"].to_numpy(dtype="int64"),
-            index=sub["value"].to_numpy(dtype=object),
+            frame["count"].to_numpy(dtype="int64"),
+            index=frame["value"].to_numpy(dtype=object),
             name=c,
         )
-        if c in totals.index:
-            s.attrs["n_distinct"] = int(totals.loc[c, "n_distinct"])
-            s.attrs["n_total"] = int(totals.loc[c, "n_total"])
-        else:  # all-null column
-            s.attrs["n_distinct"] = 0
-            s.attrs["n_total"] = 0
+        s.attrs["n_distinct"], s.attrs["n_total"] = totals[c]
         out[c] = s
     return out
 

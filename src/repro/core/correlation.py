@@ -370,13 +370,6 @@ def spearman_matrix(df: DataFrame, cols: list[str], nrows: int | None = None) ->
         rank_frame.unpersist()
 
 
-def _condensed_signs(x: np.ndarray) -> np.ndarray:
-    """Upper-triangle pairwise sign(x_i − x_j) as int8 (tau-b building block)."""
-    n = x.size
-    iu = np.triu_indices(n, k=1)
-    return np.sign(x[:, None] - x[None, :])[iu].astype("int8")
-
-
 def kendall_matrix(pdf: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
     """Exact tau-b matrix over a (sampled) pandas frame.
 
@@ -390,22 +383,14 @@ def kendall_matrix(pdf: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
     data = pdf[cols].astype("float64")
     complete = data.dropna()
     if len(complete) >= 50 or complete.shape[0] == data.shape[0]:
-        n = len(complete)
-        if n < 2:
+        if len(complete) < 2:
             mat.iloc[:, :] = np.nan
             np.fill_diagonal(mat.values, 1.0)
             return mat
-        signs = {c: _condensed_signs(complete[c].to_numpy()) for c in cols}
-        n_pairs = n * (n - 1) / 2
+        signs = {c: numutils.condensed_signs(complete[c].to_numpy()) for c in cols}
         for i, a in enumerate(cols):
             for b in cols[i + 1:]:
-                sx, sy = signs[a], signs[b]
-                cmd = float((sx.astype("int32") * sy).sum())
-                ties_x = n_pairs - float(np.count_nonzero(sx))
-                ties_y = n_pairs - float(np.count_nonzero(sy))
-                denom = np.sqrt((n_pairs - ties_x) * (n_pairs - ties_y))
-                tau = cmd / denom if denom else float("nan")
-                mat.loc[a, b] = mat.loc[b, a] = tau
+                mat.loc[a, b] = mat.loc[b, a] = numutils.tau_b(signs[a], signs[b])
     else:
         for i, a in enumerate(cols):
             for b in cols[i + 1:]:

@@ -167,9 +167,7 @@ def bivariate_insights(inter: Intermediates, cfg: Config) -> list[Insight]:
         sthr = cfg["insight.similar.threshold"]
         for i, a in enumerate(names):
             for b in names[i + 1:]:
-                ca, cb = lines[a].astype("float64"), lines[b].astype("float64")
-                if ca.sum() and cb.sum():
-                    d = float(np.abs(np.cumsum(ca) / ca.sum() - np.cumsum(cb) / cb.sum()).max())
-                    if d < sthr:
-                        out.append(Insight("similar_distribution", f"{a}~{b}", d, sthr, f"groups {a} and {b} have similar distributions (Δ={d:.3f})"))
+                d = numutils.ks_distance(lines[a], lines[b])
+                if d < sthr:
+                    out.append(Insight("similar_distribution", f"{a}~{b}", d, sthr, f"groups {a} and {b} have similar distributions (Δ={d:.3f})"))
     return out

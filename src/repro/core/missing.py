@@ -10,10 +10,11 @@ after the Missingno library the paper derives its mapping rules from.
 * ``plot_missing(df, c1)`` — for every other column, its distribution
   before vs after dropping the rows where ``c1`` is missing (the paper
   notes this is the most expensive task: two frequency distributions per
-  column — here both distributions come out of **one** fused melted
-  aggregation per type class).
+  column). It reuses the overview's counting jobs, ``compute.binned_counts``
+  and ``compute.category_counts``: both distributions come out of **one**
+  melted shuffle per type class, the *after* one as an extra sum.
 * ``plot_missing(df, c1, c2)`` — histogram, PDF, CDF and box plot of
-  ``c2`` before/after dropping ``c1``-missing rows.
+  ``c2`` before/after dropping ``c1``-missing rows, from the same counts.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from repro.core.insights import missing_insights
 from repro.core.intermediates import EDAResult, Intermediates
 from repro.core.render import render
 from repro.substrate.cluster import cluster_order, linkage_average
+from repro.substrate.numutils import ks_distance, total_variation
 
 
 def spectrum_pass(df: DataFrame, bins: int, nrows: int | None = None) -> pd.DataFrame:
@@ -100,98 +102,20 @@ def compute_missing(df: DataFrame, cfg: Config) -> Intermediates:
     return missing_view(comoment_scan(df, [], df.columns, spectrum_bins=cfg["spectrum.bins"]))
 
 
-def _before_after_numeric(
-    df: DataFrame,
-    num_cols: list[str],
-    minmax,
-    dropped: F.Column,
-    bins: int,
-) -> dict[str, pd.DataFrame]:
-    """Histograms of each numeric column before/after dropping, fused.
-
-    One melted shuffle produces, per (column, bin), the count over all rows
-    (*before*) and over surviving rows (*after*) — the paper's "two
-    frequency distributions per column" at the cost of one.
-    """
-    usable = [
-        c for c in num_cols
-        if minmax.get(c, (None, None))[0] is not None and minmax[c][1] is not None
-    ]
-    out: dict[str, pd.DataFrame] = {}
-    if not usable:
-        return out
-    edges = {c: compute.bin_edges(float(minmax[c][0]), float(minmax[c][1]), bins) for c in usable}
-    agg = (
-        df.select(
-            dropped.cast("int").alias("__dropped"),
-            *[
-                compute.bin_index(compute.finite(F.col(c)), edges[c][0], edges[c][-1], bins).alias(c)
-                for c in usable
-            ],
-        )
-        .unpivot(["__dropped"], usable, "column", "bin")
-        .where(F.col("bin").isNotNull())
-        .groupBy("column", "bin")
-        .agg(
-            F.count(F.lit(1)).alias("before"),
-            F.sum(1 - F.col("__dropped")).alias("after"),
-        )
-        .toPandas()
-    )
-    for c in usable:
-        n_bins = len(edges[c]) - 1
-        frame = pd.DataFrame(
-            {
-                "bin": np.arange(n_bins),
-                "before": np.zeros(n_bins, dtype="int64"),
-                "after": np.zeros(n_bins, dtype="int64"),
-            }
-        )
-        sub = agg[agg["column"] == c]
-        idx = sub["bin"].to_numpy(dtype="int64")
-        frame.loc[idx, "before"] = sub["before"].to_numpy(dtype="int64")
-        frame.loc[idx, "after"] = sub["after"].to_numpy(dtype="int64")
-        frame.attrs["edges"] = edges[c]
-        out[c] = frame
-    return out
-
-
-def _before_after_categorical(
-    df: DataFrame, cat_cols: list[str], dropped: F.Column, limit: int
-) -> dict[str, pd.DataFrame]:
-    """Value counts of each categorical column before/after dropping, fused."""
-    out: dict[str, pd.DataFrame] = {}
-    if not cat_cols:
-        return out
-    stacked = (
-        df.withColumn("__dropped", dropped.cast("int"))
-        .select("__dropped", *[F.col(c).cast("string").alias(c) for c in cat_cols])
-        .unpivot(["__dropped"], cat_cols, "column", "value")
-        .where(F.col("value").isNotNull())
-    )
-    agg = (
-        stacked.groupBy("column", "value")
-        .agg(
-            F.count(F.lit(1)).alias("before"),
-            F.sum(1 - F.col("__dropped")).alias("after"),
-        )
-    )
-    from pyspark.sql import Window
-
-    w = Window.partitionBy("column").orderBy(F.desc("before"), F.asc("value"))
-    pdf = agg.withColumn("rn", F.row_number().over(w)).where(F.col("rn") <= limit).toPandas()
-    for c in cat_cols:
-        sub = (
-            pdf[pdf["column"] == c]
-            .sort_values(["before", "value"], ascending=[False, True])
-            .reset_index(drop=True)[["value", "before", "after"]]
-        )
-        out[c] = sub
-    return out
+def _before_after(counts: dict[str, pd.DataFrame]) -> dict[str, pd.DataFrame]:
+    """``binned_counts`` / ``category_counts`` frames with ``count`` named ``before``."""
+    return {c: frame.rename(columns={"count": "before"}) for c, frame in counts.items()}
 
 
 def compute_missing_col(df: DataFrame, col1: str, cfg: Config) -> Intermediates:
-    """``plot_missing(df, c1)`` — impact of dropping ``c1``-missing rows."""
+    """``plot_missing(df, c1)`` — impact of dropping ``c1``-missing rows.
+
+    The overview's counting jobs with one extra sum: every numeric column's
+    histogram (``compute.binned_counts``) and every categorical column's
+    value counts (``compute.category_counts``), each counted over all rows
+    (*before*) and over the rows where ``c1`` is present (*after*) in the
+    same shuffle.
+    """
     types = detect_types(df)
     if col1 not in df.columns:
         raise KeyError(col1)
@@ -200,53 +124,44 @@ def compute_missing_col(df: DataFrame, col1: str, cfg: Config) -> Intermediates:
     cat_cols = [c for c in others if types[c] is EDAType.CATEGORICAL]
 
     stats = compute.basic_stats_pass(df, types)
-    nrows = int(stats["__table__"]["nrows"])
-    n_missing = int(stats[col1]["nmissing"])
     minmax = {c: (stats[c].get("min"), stats[c].get("max")) for c in num_cols}
-    dropped = missing_expr(df, col1).cast("boolean")
+    edges = compute.histogram_edges(num_cols, minmax, cfg["hist.bins"])
+    keep = missing_expr(df, col1) == 0
 
     inter = Intermediates(task=f"missing:{col1}")
     inter["col"] = col1
-    inter["nrows"] = nrows
-    inter["n_dropped"] = n_missing
-    inter["numeric"] = _before_after_numeric(df, num_cols, minmax, dropped, cfg["hist.bins"])
-    inter["categorical"] = _before_after_categorical(
-        df, cat_cols, dropped, cfg["bar.top_n"] * 10
+    inter["nrows"] = int(stats["__table__"]["nrows"])
+    inter["n_dropped"] = int(stats[col1]["nmissing"])
+    inter["numeric"] = _before_after(compute.binned_counts(df, edges, keep))
+    inter["categorical"] = _before_after(
+        compute.category_counts(df, cat_cols, cfg["bar.top_n"] * 10, keep)[0]
     )
     # Distribution-shift score per column (KS over binned histograms for
     # numeric, total-variation over value counts for categorical) feeds the
-    # 'similar distribution' insight.
-    shift: dict[str, float] = {}
-    for c, frame in inter["numeric"].items():
-        before, after = frame["before"].to_numpy("float64"), frame["after"].to_numpy("float64")
-        if before.sum() and after.sum():
-            shift[c] = float(
-                np.abs(np.cumsum(before) / before.sum() - np.cumsum(after) / after.sum()).max()
-            )
-    for c, frame in inter["categorical"].items():
-        b, a = frame["before"].to_numpy("float64"), frame["after"].to_numpy("float64")
-        if b.sum() and a.sum():
-            shift[c] = float(0.5 * np.abs(b / b.sum() - a / a.sum()).sum())
-    inter["shift"] = shift
+    # 'similar distribution' insight; a column with no values on either side
+    # has none.
+    shift = {c: ks_distance(f["before"], f["after"]) for c, f in inter["numeric"].items()}
+    shift.update(
+        {c: total_variation(f["before"], f["after"]) for c, f in inter["categorical"].items()}
+    )
+    inter["shift"] = {c: d for c, d in shift.items() if not np.isnan(d)}
     return inter
 
 
 def compute_missing_pair(df: DataFrame, col1: str, col2: str, cfg: Config) -> Intermediates:
     """``plot_missing(df, c1, c2)`` — impact of dropping on one column."""
     types = detect_types(df)
-    dropped = missing_expr(df, col1).cast("boolean")
+    keep = missing_expr(df, col1) == 0
     inter = Intermediates(task=f"missing:{col1}:{col2}")
     inter["cols"] = (col1, col2)
     t2 = types[col2]
     if t2 is EDAType.NUMERICAL:
-        clean2 = compute.finite(F.col(col2))
-        mm_row = df.agg(F.min(clean2).alias("mn"), F.max(clean2).alias("mx")).collect()[0]
-        minmax = {col2: (mm_row["mn"], mm_row["mx"])}
-        hists = _before_after_numeric(df, [col2], minmax, dropped, cfg["hist.bins"])
-        frame = hists.get(col2, pd.DataFrame(columns=["bin", "before", "after"]))
+        edges = compute.histogram_edges([col2], compute.finite_minmax(df, [col2]), cfg["hist.bins"])
+        frame = _before_after(compute.binned_counts(df, edges, keep)).get(
+            col2, pd.DataFrame(columns=["bin", "before", "after"])
+        )
         inter["hist"] = frame
-        b = frame["before"].to_numpy("float64") if len(frame) else np.zeros(0)
-        a = frame["after"].to_numpy("float64") if len(frame) else np.zeros(0)
+        b, a = frame["before"].to_numpy("float64"), frame["after"].to_numpy("float64")
         inter["pdf"] = {
             "before": b / b.sum() if b.sum() else b,
             "after": a / a.sum() if a.sum() else a,
@@ -256,10 +171,10 @@ def compute_missing_pair(df: DataFrame, col1: str, col2: str, cfg: Config) -> In
             "after": np.cumsum(inter["pdf"]["after"]),
         }
         box_row = df.select(
-            clean2.alias("y"), dropped.alias("d")
+            compute.finite(F.col(col2)).alias("y"), keep.alias("keep")
         ).agg(
             F.percentile_approx("y", [0.25, 0.5, 0.75]).alias("q_before"),
-            F.percentile_approx(F.when(~F.col("d"), F.col("y")), [0.25, 0.5, 0.75]).alias(
+            F.percentile_approx(F.when(F.col("keep"), F.col("y")), [0.25, 0.5, 0.75]).alias(
                 "q_after"
             ),
         ).collect()[0]
@@ -267,18 +182,13 @@ def compute_missing_pair(df: DataFrame, col1: str, col2: str, cfg: Config) -> In
             "before": dict(zip(("q1", "median", "q3"), box_row["q_before"] or (np.nan,) * 3)),
             "after": dict(zip(("q1", "median", "q3"), box_row["q_after"] or (np.nan,) * 3)),
         }
-        if b.sum() and a.sum():
-            inter["shift"] = float(np.abs(inter["cdf"]["before"] - inter["cdf"]["after"]).max())
-        else:
-            inter["shift"] = float("nan")
+        inter["shift"] = ks_distance(b, a)
     elif t2 is EDAType.CATEGORICAL:
-        bars = _before_after_categorical(df, [col2], dropped, cfg["bar.top_n"] * 10)
-        frame = bars[col2]
+        frame = _before_after(
+            compute.category_counts(df, [col2], cfg["bar.top_n"] * 10, keep)[0]
+        )[col2]
         inter["bar"] = frame
-        b, a = frame["before"].to_numpy("float64"), frame["after"].to_numpy("float64")
-        inter["shift"] = (
-            float(0.5 * np.abs(b / b.sum() - a / a.sum()).sum()) if b.sum() and a.sum() else float("nan")
-        )
+        inter["shift"] = total_variation(frame["before"], frame["after"])
     else:
         raise TypeError("plot_missing on datetime target columns is out of scope")
     return inter

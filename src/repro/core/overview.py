@@ -8,8 +8,9 @@ column count:
    aggregate per type class;
 2. ``histogram_pass``    — all numeric histograms, one melted shuffle
    (bin edges taken from pass 1, the "precompute metadata" stage);
-3. ``value_counts_pass`` — all categorical bar charts (two actions over
-   one persisted aggregate);
+3. ``value_counts_pass`` — all categorical bar charts, one melted shuffle
+   and one action (the top values and the exact totals are windowed over
+   the same aggregate);
 4. duplicate-row count   — one distinct-count job (dataset statistic).
 """
 from __future__ import annotations

@@ -13,7 +13,8 @@ intermediates computed once, distributed to each visualization):
                                     sketch, all columns — one melted
                                     aggregate per type class)
 2.  one duplicate-row count        (1 scan)
-3.  one ``value_counts_pass``      (all categorical bars — 1 melted shuffle)
+3.  one ``value_counts_pass``      (all categorical bars and their exact
+                                    totals — 1 melted shuffle, 1 action)
 4.  one ``sample_pass``            (one seeded sample of the finite numeric
                                     values, shared by KDE, Kendall and the
                                     interactions)

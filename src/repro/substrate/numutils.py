@@ -12,7 +12,11 @@ __all__ = [
     "norm_ppf",
     "norm_pdf",
     "gaussian_kde",
+    "condensed_signs",
+    "tau_b",
     "kendall_tau",
+    "ks_distance",
+    "total_variation",
     "uniformity_pvalue_stat",
 ]
 
@@ -89,6 +93,22 @@ def gaussian_kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float | None 
     return norm_pdf(z).mean(axis=1) / h
 
 
+def condensed_signs(x: np.ndarray) -> np.ndarray:
+    """Upper-triangle pairwise ``sign(x_i − x_j)`` as int8: ``tau_b``'s input."""
+    iu = np.triu_indices(x.size, k=1)
+    return np.sign(x[:, None] - x[None, :])[iu].astype("int8")
+
+
+def tau_b(sx: np.ndarray, sy: np.ndarray) -> float:
+    """Kendall's tau-b ``(C − D) / √((P − Tx)(P − Ty))`` from two ``condensed_signs``.
+
+    NaN when either side is constant (no untied pair).
+    """
+    concordant_minus_discordant = float((sx.astype("int32") * sy).sum())
+    denom = np.sqrt(float(np.count_nonzero(sx)) * float(np.count_nonzero(sy)))
+    return concordant_minus_discordant / denom if denom else float("nan")
+
+
 def kendall_tau(x: np.ndarray, y: np.ndarray) -> float:
     """Kendall's tau-b with tie correction.
 
@@ -99,22 +119,29 @@ def kendall_tau(x: np.ndarray, y: np.ndarray) -> float:
     x = np.asarray(x, dtype="float64")
     y = np.asarray(y, dtype="float64")
     ok = np.isfinite(x) & np.isfinite(y)
-    x, y = x[ok], y[ok]
-    n = x.size
-    if n < 2:
+    if ok.sum() < 2:
         return float("nan")
-    sx = np.sign(x[:, None] - x[None, :])
-    sy = np.sign(y[:, None] - y[None, :])
-    iu = np.triu_indices(n, k=1)
-    sx, sy = sx[iu], sy[iu]
-    concordant_minus_discordant = float((sx * sy).sum())
-    n_pairs = n * (n - 1) / 2
-    ties_x = n_pairs - float(np.count_nonzero(sx))
-    ties_y = n_pairs - float(np.count_nonzero(sy))
-    denom = np.sqrt((n_pairs - ties_x) * (n_pairs - ties_y))
-    if denom == 0:
+    return tau_b(condensed_signs(x[ok]), condensed_signs(y[ok]))
+
+
+def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest gap between the CDFs of two count vectors over the same bins.
+
+    ``max |cumsum(a)/Σa − cumsum(b)/Σb|``; NaN when either side is empty.
+    """
+    a, b = np.asarray(a, dtype="float64"), np.asarray(b, dtype="float64")
+    if not (a.sum() and b.sum()):
         return float("nan")
-    return concordant_minus_discordant / denom
+    return float(np.abs(np.cumsum(a) / a.sum() - np.cumsum(b) / b.sum()).max())
+
+
+def total_variation(a: np.ndarray, b: np.ndarray) -> float:
+    """Total-variation distance ``½·Σ|a/Σa − b/Σb|`` of two count vectors; NaN
+    when either side is empty."""
+    a, b = np.asarray(a, dtype="float64"), np.asarray(b, dtype="float64")
+    if not (a.sum() and b.sum()):
+        return float("nan")
+    return float(0.5 * np.abs(a / a.sum() - b / b.sum()).sum())
 
 
 def uniformity_pvalue_stat(counts: np.ndarray) -> float:

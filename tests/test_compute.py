@@ -161,8 +161,15 @@ def test_value_counts_attrs_exact(titanic, titanic_pdf):
         assert out[col].attrs["n_total"] == len(s)
 
 
-def test_value_counts_limit():
-    pass  # limit behaviour covered via the chess-shaped dataset below
+def test_value_counts_limit(spark):
+    # "b" and "c" tie at the cut: the smaller value stays, and the totals
+    # still count every value and row the cut drops
+    values = ["a"] * 3 + ["c"] * 2 + ["b"] * 2 + ["d"] + [None] * 2
+    df = spark.createDataFrame([(v,) for v in values], "k STRING").repartition(3)
+    out = compute.value_counts_pass(df, ["k"], limit=2)["k"]
+    assert out.index.tolist() == ["a", "b"]
+    assert out.tolist() == [3, 2] and out.dtype == "int64"
+    assert out.attrs == {"n_distinct": 4, "n_total": 8}
 
 
 def test_value_counts_cap_on_high_cardinality(spark):

@@ -3,9 +3,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import plot_missing
+from repro.core import compute, plot_missing
 from repro.core.config import Config
 from repro.core.correlation import comoment_scan
+from repro.core.dtypes import EDAType, detect_types
 from repro.core.missing import (
     nullity_correlation,
     nullity_dendrogram,
@@ -217,3 +218,70 @@ def test_pair_target_nan_keeps_finite_edges(spark):
     assert hist.attrs["edges"].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
     assert hist["before"].sum() == 4
     assert hist["after"].sum() == 3
+
+
+@pytest.fixture(scope="module")
+def adversarial(spark):
+    """NaN, null and ±inf in ``x``, a constant ``k``, an all-null categorical ``z``."""
+    g = np.random.default_rng(9)
+    special = [float("nan"), None, float("inf"), float("-inf")]
+    rows = [
+        (
+            special[i % 4] if i % 7 == 0 else float(g.normal()),
+            5.0,
+            float(g.integers(0, 5)) if i % 5 else None,
+            ["p", "q", "r", "s"][int(g.integers(0, 4))] if i % 6 else None,
+            None,
+        )
+        for i in range(300)
+    ]
+    df = spark.createDataFrame(rows, "x DOUBLE, k DOUBLE, y DOUBLE, c STRING, z STRING")
+    df = df.repartition(3)
+    df.cache().count()
+    yield df
+    df.unpersist()
+
+
+def _counting_passes(df, counted, col1):
+    """``histogram_pass`` and ``value_counts_pass`` of ``counted`` for
+    ``plot_missing(df, col1)``, binned over the edges of the whole ``df``."""
+    cfg = Config.from_user()
+    types = detect_types(df)
+    num = [c for c in df.columns if c != col1 and types[c] is EDAType.NUMERICAL]
+    cat = [c for c in df.columns if c != col1 and types[c] is EDAType.CATEGORICAL]
+    stats = compute.basic_stats_pass(df, types)
+    minmax = {c: (stats[c]["min"], stats[c]["max"]) for c in num}
+    return (
+        compute.histogram_pass(counted, num, minmax, cfg["hist.bins"]),
+        compute.value_counts_pass(counted, cat, cfg["bar.top_n"] * 10),
+    )
+
+
+@pytest.mark.parametrize("col1", ["x", "c"])
+def test_before_equals_the_counting_passes(adversarial, col1):
+    inter = plot_missing(adversarial, col1).intermediates
+    hists, value_counts = _counting_passes(adversarial, adversarial, col1)
+    assert set(inter["numeric"]) == {c for c, (counts, _) in hists.items() if counts.size}
+    for c, frame in inter["numeric"].items():
+        counts, edges = hists[c]
+        np.testing.assert_array_equal(frame["before"].to_numpy(), counts)
+        np.testing.assert_array_equal(frame.attrs["edges"], edges)
+        assert frame["bin"].tolist() == list(range(len(counts)))
+    assert set(inter["categorical"]) == set(value_counts)
+    for c, frame in inter["categorical"].items():
+        vc = value_counts[c]
+        assert frame["value"].tolist() == vc.index.tolist()
+        np.testing.assert_array_equal(frame["before"].to_numpy(), vc.to_numpy())
+    assert inter["categorical"]["z"].empty
+
+
+@pytest.mark.parametrize("col1", ["x", "c"])
+def test_after_equals_the_counting_passes_on_kept_rows(adversarial, col1):
+    inter = plot_missing(adversarial, col1).intermediates
+    kept = adversarial.where(compute.missing_expr(adversarial, col1) == 0)
+    hists, value_counts = _counting_passes(adversarial, kept, col1)
+    for c, frame in inter["numeric"].items():
+        np.testing.assert_array_equal(frame["after"].to_numpy(), hists[c][0])
+    for c, frame in inter["categorical"].items():
+        after = value_counts[c].reindex(frame["value"], fill_value=0)
+        np.testing.assert_array_equal(frame["after"].to_numpy(), after.to_numpy())

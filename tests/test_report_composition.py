@@ -149,13 +149,16 @@ def test_entry_points_on_zero_rows(spark, call):
         assert res.intermediates["dataset_stats"]["nrows"] == 0
 
 
-#: Spark jobs of the report's shared pass plan, of ``plot_missing(df)`` and
-#: of two univariate calls on the cached 4-partition titanic frame.
+#: Spark jobs of the report's shared pass plan, of the three
+#: ``plot_missing`` variants and of two univariate calls on the cached
+#: 4-partition titanic frame.
 PINNED_JOBS = {
-    "create_report": (lambda df: create_report(df), 18),
+    "create_report": (lambda df: create_report(df), 15),
     "plot_missing": (lambda df: plot_missing(df), 3),
+    "plot_missing_num_0": (lambda df: plot_missing(df, "num_0"), 9),
+    "plot_missing_num_0_cat_0": (lambda df: plot_missing(df, "num_0", "cat_0"), 3),
     "plot_num_0": (lambda df: plot(df, "num_0"), 5),
-    "plot_cat_0": (lambda df: plot(df, "cat_0"), 13),
+    "plot_cat_0": (lambda df: plot(df, "cat_0"), 10),
 }
 
 
