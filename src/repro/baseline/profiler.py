@@ -29,7 +29,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.compute import bin_edges, bin_index, finite, missing_expr
+from repro.core.compute import bin_edges, bin_index, finite, missing_expr, quote
 from repro.core.config import Config
 from repro.core.correlation import kendall_matrix
 from repro.core.dtypes import EDAType, detect_types
@@ -37,7 +37,7 @@ from repro.core.intermediates import Intermediates
 
 
 def _numeric_clean(df: DataFrame, col: str) -> DataFrame:
-    return df.select(finite(F.col(col)).alias(col))
+    return df.selectExpr(f"{finite(quote(col))} AS {quote(col)}")
 
 
 def _profile_numeric_column(df: DataFrame, col: str, cfg: Config) -> dict[str, object]:
@@ -80,7 +80,7 @@ def _profile_numeric_column(df: DataFrame, col: str, cfg: Config) -> dict[str, o
     if mn is not None and mx is not None and mx > mn:
         counts_pdf = (
             proj.where(F.col(col).isNotNull())
-            .select(bin_index(F.col(col), mn, mx, bins).alias("bin"))
+            .selectExpr(f"{bin_index(quote(col), mn, mx, bins)} AS bin")
             .groupBy("bin")
             .count()
             .toPandas()                                                            # action 12
@@ -153,13 +153,14 @@ def eager_profile_report(df: DataFrame, config: dict | None = None) -> Intermedi
     miss_bar = pd.Series({c: int(variables[c].get("nmissing") or 0) for c in df.columns})
 
     # Interactions: one sampled collect per numeric pair (PP draws a plot
-    # per pair; each is its own eager computation).
+    # per pair; each is its own eager computation), over the pairs where
+    # both values are finite (``finite`` nulls NaN/±inf, ``dropna`` drops).
     interactions: dict[tuple[str, str], pd.DataFrame] = {}
     gs = cfg["hexbin.gridsize"]
     for i, a in enumerate(num_cols):
         for b in num_cols[i + 1:]:
             pair_pdf = (
-                df.select(F.col(a).cast("double"), F.col(b).cast("double"))
+                df.selectExpr(f"{finite(quote(a))} AS x", f"{finite(quote(b))} AS y")
                 .dropna()
                 .sample(fraction=min(1.0, 10_000 / max(nrows, 1)), seed=cfg["compute.seed"])
                 .toPandas()                                                        # one action per pair

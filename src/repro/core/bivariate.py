@@ -26,7 +26,8 @@ from repro.core.intermediates import Intermediates
 
 def compute_num_num(df: DataFrame, x: str, y: str, cfg: Config) -> Intermediates:
     """NN pair: scatter sample + hexbin grid + binned box plot."""
-    proj = df.where(compute.finite(F.col(x)).isNotNull() & compute.finite(F.col(y)).isNotNull())
+    qx, qy = compute.quote(x), compute.quote(y)
+    proj = df.where(f"{compute.finite(qx)} IS NOT NULL AND {compute.finite(qy)} IS NOT NULL")
     mm = compute.finite_minmax(proj, [x, y])
     (x_mn, x_mx), (y_mn, y_mx) = mm[x], mm[y]
 
@@ -45,11 +46,11 @@ def compute_num_num(df: DataFrame, x: str, y: str, cfg: Config) -> Intermediates
     inter["scatter"] = sample
 
     gs = cfg["hexbin.gridsize"]
-    xv, yv = F.col(x).cast("double"), F.col(y).cast("double")
+    xv, yv = f"CAST({qx} AS DOUBLE)", f"CAST({qy} AS DOUBLE)"
     hexbin = (
-        proj.select(
-            compute.bin_index(xv, x_mn, x_mx, gs).alias("xbin"),
-            compute.bin_index(yv, y_mn, y_mx, gs).alias("ybin"),
+        proj.selectExpr(
+            f"{compute.bin_index(xv, x_mn, x_mx, gs)} AS xbin",
+            f"{compute.bin_index(yv, y_mn, y_mx, gs)} AS ybin",
         )
         .groupBy("xbin", "ybin")
         .count()
@@ -61,7 +62,7 @@ def compute_num_num(df: DataFrame, x: str, y: str, cfg: Config) -> Intermediates
 
     nb = cfg["boxnum.bins"]
     box = (
-        proj.select(compute.bin_index(xv, x_mn, x_mx, nb).alias("xbin"), yv.alias("y"))
+        proj.selectExpr(f"{compute.bin_index(xv, x_mn, x_mx, nb)} AS xbin", f"{yv} AS y")
         .groupBy("xbin")
         .agg(
             F.percentile_approx("y", [0.25, 0.5, 0.75]).alias("q"),
@@ -88,7 +89,7 @@ def compute_num_cat(df: DataFrame, num: str, cat: str, cfg: Config) -> Intermedi
     category ranking, box stats, and line histograms take three fused jobs.
     """
     proj = df.select(
-        F.col(cat).cast("string").alias("g"), compute.finite(F.col(num)).alias("y")
+        F.col(cat).cast("string").alias("g"), F.expr(compute.finite(compute.quote(num))).alias("y")
     ).where(F.col("g").isNotNull() & F.col("y").isNotNull())
 
     ngroups = cfg["line.ngroups"]
@@ -126,7 +127,7 @@ def compute_num_cat(df: DataFrame, num: str, cat: str, cfg: Config) -> Intermedi
     bins = cfg["hist.bins"]
     edges = compute.bin_edges(y_mn, y_mx, bins)
     counts = (
-        sub.select("g", compute.bin_index(F.col("y"), y_mn, y_mx, bins).alias("bin"))
+        sub.selectExpr("g", f"{compute.bin_index('y', y_mn, y_mx, bins)} AS bin")
         .groupBy("g", "bin")
         .count()
         .toPandas()

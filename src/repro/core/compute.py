@@ -30,14 +30,24 @@ implemented here:
 Each pass reduces the distributed frame to a tiny pandas object; everything
 downstream (KDE, Q-Q, box stats, insights) is driver-side pandas/numpy —
 the paper's Dask-Computation / Pandas-Computation split.
+
+Passes that do not depend on each other run at the same time: ``in_flight``
+submits each to a driver thread, as Dask's scheduler runs a graph's
+independent branches together (Spark runs one action per thread). The
+shared rules (``finite``, ``missing_exprs``, ``bin_index``) are SQL-text
+templates over ``quote``d names: a plan built from SQL text costs a few
+py4j round trips where the Column API costs dozens per expression.
 """
 from __future__ import annotations
 
-from typing import Mapping
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame, Window
+from pyspark import inheritable_thread_target
+from pyspark.sql import Column, DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
 from repro.core.dtypes import EDAType
@@ -47,108 +57,144 @@ from repro.core.dtypes import EDAType
 #: visualization").
 STATS_QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 
-_INF = (float("inf"), float("-inf"))
+_INF = "CAST('Infinity' AS DOUBLE), CAST('-Infinity' AS DOUBLE)"
 
 
-def finite(c: Column) -> Column:
-    """``c`` as double with NaN/±inf nulled: the values moments and bins use.
+@contextmanager
+def in_flight(session: SparkSession) -> Iterator[Callable[..., Future]]:
+    """``submit(fn, *args, **kwargs)``: run ``fn`` on a driver thread, return its Future.
+
+    Spark runs one action per thread, so independent passes submitted here
+    run their jobs at the same time. Each task is wrapped by
+    ``inheritable_thread_target(session)`` when it is submitted, so its
+    jobs carry the submitting thread's job group, description and tags. The
+    pool belongs to the block: leaving it waits for every task and joins
+    the threads. A task's exception reaches whoever takes its ``result()``.
+    """
+    with ThreadPoolExecutor() as pool:
+
+        def submit(fn: Callable, *args, **kwargs) -> Future:
+            inherit = inheritable_thread_target(session)
+            # with pinned threads off (PYSPARK_PIN_THREAD=false) pyspark hands
+            # the session back: threads then share the JVM's local properties
+            return pool.submit(inherit(fn) if callable(inherit) else fn, *args, **kwargs)
+
+        yield submit
+
+
+def quote(name: str) -> str:
+    """``name`` as a SQL identifier: in backticks, any backtick inside doubled.
+
+    A name holding ``.`` or a backtick is then taken literally. Every name
+    put into SQL text needs it; the report's passes also put every name
+    they give ``F.col``, ``unpivot``, ``select`` or ``groupBy`` through it.
+    """
+    return "`" + name.replace("`", "``") + "`"
+
+
+def _double(x: float) -> str:
+    """``x`` as an exact SQL double literal (``repr`` round-trips)."""
+    return f"{float(x)!r}D"
+
+
+def finite(x: str) -> str:
+    """SQL text: ``x`` as double with NaN/±inf nulled, the values moments and bins use.
 
     Mirrors pandas semantics (NaN is missing) that Pandas-profiling and
     Missingno assume; infinity is counted separately by the stats pass.
+    ``x`` is SQL text, e.g. ``quote(name)``; wrap the result in ``F.expr``
+    where a Column is needed.
     """
-    raw = c.cast("double")
-    return F.when(F.isnan(raw) | raw.isin(*_INF), None).otherwise(raw)
+    raw = f"CAST({x} AS DOUBLE)"
+    return f"CASE WHEN isnan({raw}) OR {raw} IN ({_INF}) THEN NULL ELSE {raw} END"
 
 
-def missing_exprs(df: DataFrame, cols: list[str]) -> list[Column]:
-    """Per column, 1 when the cell is missing (null, or NaN for float columns).
+def missing_exprs(df: DataFrame, cols: list[str]) -> list[str]:
+    """Per column, SQL text that is 1 when the cell is missing (null, or NaN for float columns).
 
     The dtypes are resolved once for all ``cols``.
     """
     dtypes = dict(df.dtypes)
     out = []
     for col in cols:
-        c = F.col(col)
-        missing = c.isNull() | F.isnan(c) if dtypes[col] in ("double", "float") else c.isNull()
-        out.append(missing.cast("long"))
+        c = quote(col)
+        nan = f" OR isnan({c})" if dtypes[col] in ("double", "float") else ""
+        out.append(f"CAST(({c} IS NULL{nan}) AS BIGINT)")
     return out
 
 
 def missing_expr(df: DataFrame, col: str) -> Column:
-    """1 when the cell is missing (null, or NaN for float columns)."""
-    return missing_exprs(df, [col])[0]
+    """1 when the cell is missing (null, or NaN for float columns), as a Column."""
+    return F.expr(missing_exprs(df, [col])[0])
 
 
-def _melted_stats(
-    df: DataFrame, cols: list[str], cast: str, aggs: dict[str, Column]
-) -> list:
+def _melted_stats(df: DataFrame, cols: list[str], cast: str, aggs: dict[str, str]) -> list:
     """One ``unpivot → groupBy(column).agg(aggs)`` over ``cols`` cast to ``cast``.
 
-    The melted frame has columns ``column`` and ``raw``; the aggregate list
-    is the same whatever the number of columns, so the codegen unit and the
+    The melted frame has columns ``column`` and ``raw``; ``aggs`` maps each
+    statistic to its SQL text over ``raw``. The projection is one
+    ``selectExpr`` and each statistic one ``F.expr``: the aggregate list is
+    the same whatever the number of columns, so the codegen unit and the
     py4j expression building stay fixed as the table widens.
     """
-    melted = df.select([F.col(c).cast(cast).alias(c) for c in cols]).unpivot(
-        [], cols, "column", "raw"
+    names = [quote(c) for c in cols]
+    melted = df.selectExpr(*[f"CAST({c} AS {cast}) AS {c}" for c in names]).unpivot(
+        [], names, "column", "raw"
     )
-    exprs = [F.count(F.lit(1)).alias("nrows")] + [e.alias(k) for k, e in aggs.items()]
+    exprs = [F.expr(f"{e} AS {quote(k)}") for k, e in {"nrows": "count(1)", **aggs}.items()]
     return melted.groupBy("column").agg(*exprs).collect()
 
 
-def _numeric_aggs(quantile_probs: tuple[float, ...] | None) -> dict[str, Column]:
-    raw = F.col("raw")
-    v = finite(raw)
+def _numeric_aggs(quantile_probs: tuple[float, ...] | None) -> dict[str, str]:
+    v = finite("raw")
     aggs = {
-        "count": F.count(v),
-        "nmissing": F.sum((raw.isNull() | F.isnan(raw)).cast("long")),
+        "count": f"count({v})",
+        "nmissing": "sum(CAST((raw IS NULL OR isnan(raw)) AS BIGINT))",
         # rsd=0.05 (engine default): tighter precisions blow up the HLL++
         # register buffers (~2^18 longs per column) and turn the stats pass
         # into minutes on small data. Exact distinct counts for categoricals
         # come from value_counts_pass anyway.
-        "distinct": F.approx_count_distinct(v),
-        "min": F.min(v),
-        "max": F.max(v),
-        "nzero": F.sum((v == 0).cast("long")),
-        "nnegative": F.sum((v < 0).cast("long")),
-        "ninfinite": F.sum(raw.isin(*_INF).cast("long")),
-        "sum": F.sum(v),
-        "mean": F.avg(v),
+        "distinct": f"approx_count_distinct({v})",
+        "min": f"min({v})",
+        "max": f"max({v})",
+        "nzero": f"sum(CAST(({v} = 0) AS BIGINT))",
+        "nnegative": f"sum(CAST(({v} < 0) AS BIGINT))",
+        "ninfinite": f"sum(CAST((raw IN ({_INF})) AS BIGINT))",
+        "sum": f"sum({v})",
+        "mean": f"avg({v})",
         # Spark's central-moment aggregates update and merge centred
         # moments, so they stay exact at any offset (a mean of 1e9 with a
         # std of 1 included), where raw power sums cancel catastrophically.
-        "std": F.stddev_samp(v),
-        "skew": F.skewness(v),
-        "kurt": F.kurtosis(v),
+        "std": f"stddev_samp({v})",
+        "skew": f"skewness({v})",
+        "kurt": f"kurtosis({v})",
     }
     if quantile_probs:
         # The quantile sketch shared by the stats table, box plot and Q-Q
         # plot (the paper's sharing example) rides in the same aggregate.
-        probs = F.array(*[F.lit(float(p)) for p in quantile_probs])
-        aggs["quantiles"] = F.percentile_approx(v, probs, 10_000)
+        probs = ", ".join(_double(p) for p in quantile_probs)
+        aggs["quantiles"] = f"percentile_approx({v}, array({probs}), 10000)"
     return aggs
 
 
-def _categorical_aggs() -> dict[str, Column]:
-    raw = F.col("raw")
-    ln = F.length(raw)
+def _categorical_aggs() -> dict[str, str]:
     return {
-        "count": F.count(raw),
-        "nmissing": F.sum(raw.isNull().cast("long")),
-        "distinct": F.approx_count_distinct(raw),
-        "len_min": F.min(ln).cast("double"),
-        "len_max": F.max(ln).cast("double"),
-        "len_mean": F.avg(ln),
+        "count": "count(raw)",
+        "nmissing": "sum(CAST((raw IS NULL) AS BIGINT))",
+        "distinct": "approx_count_distinct(raw)",
+        "len_min": "CAST(min(length(raw)) AS DOUBLE)",
+        "len_max": "CAST(max(length(raw)) AS DOUBLE)",
+        "len_mean": "avg(length(raw))",
     }
 
 
-def _datetime_aggs() -> dict[str, Column]:
-    raw = F.col("raw")
+def _datetime_aggs() -> dict[str, str]:
     return {
-        "count": F.count(raw),
-        "nmissing": F.sum(raw.isNull().cast("long")),
-        "distinct": F.approx_count_distinct(raw),
-        "min_ts": F.date_format(F.min(raw), "yyyy-MM-dd HH:mm:ss"),
-        "max_ts": F.date_format(F.max(raw), "yyyy-MM-dd HH:mm:ss"),
+        "count": "count(raw)",
+        "nmissing": "sum(CAST((raw IS NULL) AS BIGINT))",
+        "distinct": "approx_count_distinct(raw)",
+        "min_ts": "date_format(min(raw), 'yyyy-MM-dd HH:mm:ss')",
+        "max_ts": "date_format(max(raw), 'yyyy-MM-dd HH:mm:ss')",
     }
 
 
@@ -163,7 +209,8 @@ def basic_stats_pass(
     Each type class (numerical, categorical, datetime) is cast to one type,
     unpivoted to ``(column, raw)`` and aggregated by ``column``. The number
     of aggregate expressions (~15) and of Spark jobs depends on the type
-    classes present, not on the number of columns.
+    classes present, not on the number of columns; the classes' aggregates
+    run at the same time (``in_flight``).
 
     Returns ``{column: {stat: value}}`` in ``cols`` order plus the dataset
     row count under the pseudo-column ``__table__``. Numerical columns carry
@@ -177,26 +224,27 @@ def basic_stats_pass(
     """
     cols = list(cols) if cols is not None else list(types)
     classes = (
-        (EDAType.NUMERICAL, "double", lambda: _numeric_aggs(quantile_probs)),
-        (EDAType.CATEGORICAL, "string", _categorical_aggs),
-        (EDAType.DATETIME, "timestamp", _datetime_aggs),
+        (EDAType.NUMERICAL, "double", _numeric_aggs(quantile_probs)),
+        (EDAType.CATEGORICAL, "string", _categorical_aggs()),
+        (EDAType.DATETIME, "timestamp", _datetime_aggs()),
     )
     rows: dict[str, dict[str, object]] = {}
     empty: dict[str, dict[str, object]] = {}
     nrows = None
-    for eda_type, cast, make_aggs in classes:
-        members = [c for c in cols if types[c] is eda_type]
-        if not members:
-            continue
-        aggs = make_aggs()
-        for row in _melted_stats(df, members, cast, aggs):
-            stats = row.asDict()
-            nrows = stats.pop("nrows")
-            rows[stats.pop("column")] = stats
-        # what a column without rows gets: counts 0, every other stat None
-        empty.update(
-            {c: {**dict.fromkeys(aggs), "count": 0, "nmissing": 0, "distinct": 0} for c in members}
-        )
+    with in_flight(df.sparkSession) as submit:  # the type classes' aggregates together
+        passes = []
+        for eda_type, cast, aggs in classes:
+            members = [c for c in cols if types[c] is eda_type]
+            if members:
+                passes.append((members, aggs, submit(_melted_stats, df, members, cast, aggs)))
+        for members, aggs, result in passes:
+            for row in result.result():
+                stats = row.asDict()
+                nrows = stats.pop("nrows")
+                rows[stats.pop("column")] = stats
+            # what a column without rows gets: counts 0, every other stat None
+            none = {**dict.fromkeys(aggs), "count": 0, "nmissing": 0, "distinct": 0}
+            empty.update({c: dict(none) for c in members})
     if nrows is None:  # no columns, or no rows: the groupBy returned nothing
         nrows = df.count() if not cols else 0
     out: dict[str, dict[str, object]] = {"__table__": {"nrows": nrows}}
@@ -215,18 +263,20 @@ def basic_stats_pass(
     return out
 
 
-def bin_index(value: Column, mn: float, mx: float, bins: int) -> Column:
-    """Equi-width bin of ``value`` over ``[mn, mx]``, the edges baked in as literals.
+def bin_index(value: str, mn: float, mx: float, bins: int) -> str:
+    """SQL text: the equi-width bin of ``value`` over ``[mn, mx]``, edges as literals.
 
     A constant column (``mn == mx``) has the single bin 0; the last bin is
-    closed on the right. ``F.least`` skips nulls, so a missing value is
-    kept null here rather than landing in the last bin.
+    closed on the right. ``least`` skips nulls, so a missing value is kept
+    null here rather than landing in the last bin. ``value`` is SQL text
+    (e.g. ``finite(quote(name))``); wrap the result in ``F.expr`` where a
+    Column is needed.
     """
     if mx == mn:
-        return F.when(value.isNotNull(), F.lit(0))
+        return f"CASE WHEN {value} IS NOT NULL THEN 0 END"
     width = (mx - mn) / bins
-    index = F.least(F.floor((value - F.lit(mn)) / F.lit(width)).cast("int"), F.lit(bins - 1))
-    return F.when(value.isNotNull(), index)
+    index = f"least(CAST(floor(({value} - {_double(mn)}) / {_double(width)}) AS INT), {bins - 1})"
+    return f"CASE WHEN {value} IS NOT NULL THEN {index} END"
 
 
 def bin_edges(mn: float, mx: float, bins: int) -> np.ndarray:
@@ -273,27 +323,30 @@ def finite_minmax(df: DataFrame, cols: list[str]) -> dict[str, tuple[float | Non
     The bin-edge metadata of the calls that run no stats pass; None when a
     column has no finite values.
     """
-    row = df.agg(*[f(finite(F.col(c))) for c in cols for f in (F.min, F.max)]).collect()[0]
+    aggs = [F.expr(f"{f}({finite(quote(c))})") for c in cols for f in ("min", "max")]
+    row = df.agg(*aggs).collect()[0]
     return {c: (row[2 * i], row[2 * i + 1]) for i, c in enumerate(cols)}
 
 
 def _melted_counts(
-    df: DataFrame, values: Mapping[str, Column], key: str, keep: Column | None
+    df: DataFrame, values: Mapping[str, str], key: str, keep: str | None
 ) -> DataFrame:
     """Rows per ``(column, key)``: ``values`` unpivoted, null keys dropped, grouped once.
 
-    The counts are ``count``; with ``keep`` (a boolean Column) also
-    ``after``, the rows of the group that ``keep`` holds.
+    ``values`` maps each column to the SQL text of its key. The counts are
+    ``count``; with ``keep`` (SQL text of a boolean) also ``after``, the
+    rows of the group that ``keep`` holds.
     """
-    projection = [v.alias(c) for c, v in values.items()]
+    names = [quote(c) for c in values]
+    projection = [f"{v} AS {c}" for c, v in zip(names, values.values())]
     ids, aggs = [], [F.count(F.lit(1)).alias("count")]
     if keep is not None:
-        projection.append(keep.cast("long").alias("__keep"))
+        projection.append(f"CAST(({keep}) AS BIGINT) AS __keep")
         ids.append("__keep")
         aggs.append(F.sum("__keep").alias("after"))
     return (
-        df.select(projection)
-        .unpivot(ids, list(values), "column", key)
+        df.selectExpr(*projection)
+        .unpivot(ids, names, "column", key)
         .where(F.col(key).isNotNull())
         .groupBy("column", key)
         .agg(*aggs)
@@ -301,21 +354,21 @@ def _melted_counts(
 
 
 def binned_counts(
-    df: DataFrame, edges: Mapping[str, np.ndarray], keep: Column | None = None
+    df: DataFrame, edges: Mapping[str, np.ndarray], keep: str | None = None
 ) -> dict[str, pd.DataFrame]:
     """Rows per bin of each column's finite values: one melted ``groupBy(column, bin)``.
 
     Each column of ``edges`` is binned by ``bin_index`` with its edges baked
     in as literals; missing and infinite values fall in no bin. Returns
     ``{col: frame}`` with int64 columns ``bin`` (every bin, in order) and
-    ``count``, and the edges in ``frame.attrs["edges"]``. With ``keep``, a
-    boolean Column true on the rows that survive a drop, the frame also has
-    ``after``: the bin's rows that ``keep`` holds, summed in the same
-    shuffle.
+    ``count``, and the edges in ``frame.attrs["edges"]``. With ``keep``,
+    SQL text of a boolean true on the rows that survive a drop, the frame
+    also has ``after``: the bin's rows that ``keep`` holds, summed in the
+    same shuffle.
     """
     if not edges:
         return {}
-    binned = {c: bin_index(finite(F.col(c)), e[0], e[-1], len(e) - 1) for c, e in edges.items()}
+    binned = {c: bin_index(finite(quote(c)), e[0], e[-1], len(e) - 1) for c, e in edges.items()}
     pdf = _melted_counts(df, binned, "bin", keep).toPandas()
     names = list(pdf.columns[2:])
     out = {}
@@ -329,7 +382,7 @@ def binned_counts(
 
 
 def category_counts(
-    df: DataFrame, cols: list[str], limit: int, keep: Column | None = None
+    df: DataFrame, cols: list[str], limit: int, keep: str | None = None
 ) -> tuple[dict[str, pd.DataFrame], dict[str, tuple[int, int]]]:
     """Exact value counts of ``cols`` as strings: one melted ``groupBy(column, value)``, one action.
 
@@ -345,7 +398,7 @@ def category_counts(
     ranked = Window.partitionBy("column").orderBy(F.desc("count"), F.asc("value"))
     column = Window.partitionBy("column")
     top = (
-        _melted_counts(df, {c: F.col(c).cast("string") for c in cols}, "value", keep)
+        _melted_counts(df, {c: f"CAST({quote(c)} AS STRING)" for c in cols}, "value", keep)
         .select(
             "*",
             F.row_number().over(ranked).alias("rank"),
@@ -421,7 +474,7 @@ def sample_pass(
     """
     if total_rows is None:
         total_rows = df.count()
-    proj = df.select(cols)
+    proj = df.selectExpr(*[quote(c) for c in cols])
     if total_rows <= n:
         return proj.toPandas()
     frac = min(1.0, (n / total_rows) * 1.1)

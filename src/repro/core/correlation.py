@@ -44,7 +44,8 @@ from repro.substrate import numutils
 
 def _clean_numeric(df: DataFrame, cols: list[str]) -> DataFrame:
     """Project to double columns with NaN/±inf nulled (pairwise semantics)."""
-    return df.select([compute.finite(F.col(c)).alias(c) for c in cols])
+    names = [compute.quote(c) for c in cols]
+    return df.selectExpr(*[f"{compute.finite(c)} AS {c}" for c in names])
 
 
 def ranked(df: DataFrame, cols: list[str]) -> DataFrame:
@@ -58,13 +59,14 @@ def ranked(df: DataFrame, cols: list[str]) -> DataFrame:
     clean = _clean_numeric(df, cols)
     exprs = []
     for c in cols:
-        w_order = Window.orderBy(F.col(c).asc_nulls_last())
-        w_ties = Window.partitionBy(F.col(c))
+        v = F.col(compute.quote(c))
+        w_order = Window.orderBy(v.asc_nulls_last())
+        w_ties = Window.partitionBy(v)
         avg_rank = (
             F.rank().over(w_order).cast("double")
-            + (F.count(F.col(c)).over(w_ties).cast("double") - 1) / 2
+            + (F.count(v).over(w_ties).cast("double") - 1) / 2
         )
-        exprs.append(F.when(F.col(c).isNull(), None).otherwise(avg_rank).alias(c))
+        exprs.append(F.when(v.isNull(), None).otherwise(avg_rank).alias(c))
     return clean.select(exprs)
 
 
@@ -246,6 +248,7 @@ def comoment_scan(
     indicators: list[str] = (),
     edges: Mapping[str, np.ndarray] | None = None,
     spectrum_bins: int | None = None,
+    layout: Mapping[int, int] | None = None,
 ) -> CoMoments:
     """Co-moments of ``cols`` and of the missing indicators of ``indicators``.
 
@@ -260,14 +263,17 @@ def comoment_scan(
       the histograms ``compute.histogram_pass`` would count, in ``hists``;
     * ``spectrum_bins`` — the missing spectrum of ``indicators`` over that
       many row segments (``CoMoments.spectrum``). Rows are numbered in
-      partition order: ``compute.partition_rows`` runs first and its
-      cumulative sums, the partition offsets, are baked into the kernel.
-      That relies on the frame having the same partition layout in both
-      jobs; a scan whose rows per partition differ raises ``RuntimeError``.
+      partition order from ``layout``, the ``compute.partition_rows`` of
+      ``df`` (counted here when not given): its cumulative sums, the
+      partition offsets, are baked into the kernel. That relies on the
+      frame having the same partition layout in both jobs; a scan whose
+      rows per partition differ raises ``RuntimeError``.
+
+    The projection is one ``selectExpr`` of SQL text.
     """
     cols, indicators = list(cols), list(indicators)
-    exprs = [F.col(c).cast("double") for c in cols]
-    exprs += [e.cast("double") for e in compute.missing_exprs(df, indicators)]
+    exprs = [f"CAST({compute.quote(c)} AS DOUBLE)" for c in cols]
+    exprs += [f"CAST({e} AS DOUBLE)" for e in compute.missing_exprs(df, indicators)]
     m = len(exprs)
     edges = edges or {}
     # (position, mn, width, nbins); a constant column's edges [mn, mn] give width 0
@@ -275,19 +281,20 @@ def comoment_scan(
         (cols.index(c), e[0], (e[-1] - e[0]) / (len(e) - 1), len(e) - 1) for c, e in edges.items()
     ]
     schema = "payload BINARY" + (", hist BINARY" if bins else "")
-    spectrum, layout = None, None
+    spectrum = None
     if spectrum_bins is not None:
-        layout = compute.partition_rows(df)
+        if layout is None:
+            layout = compute.partition_rows(df)
         offsets = dict(zip(layout, np.cumsum([0, *layout.values()])[:-1].tolist()))
         spectrum = (offsets, max(sum(layout.values()), 1), spectrum_bins, len(cols))
         # not spark_partition_id(): Catalyst folds a projection over a local
         # relation on the driver as partition 0, then scans its rows in
         # several tasks; the id's low bits still number them in order
-        exprs.append(F.monotonically_increasing_id())
+        exprs.append("monotonically_increasing_id()")
         schema += ", pid INT, spectrum BINARY"
     kernel, merge = _comoment_kernel(m, bins, spectrum)
     rows = (
-        df.select([e.alias(f"_{i}") for i, e in enumerate(exprs)])
+        df.selectExpr(*[f"{e} AS _{i}" for i, e in enumerate(exprs)])
         .mapInPandas(kernel, schema)
         .collect()
     )

@@ -24,7 +24,6 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import compute
-from repro.core.compute import missing_expr
 from repro.core.config import Config
 from repro.core.correlation import CoMoments, comoment_scan
 from repro.core.dtypes import EDAType, detect_types
@@ -114,7 +113,8 @@ def compute_missing_col(df: DataFrame, col1: str, cfg: Config) -> Intermediates:
     histogram (``compute.binned_counts``) and every categorical column's
     value counts (``compute.category_counts``), each counted over all rows
     (*before*) and over the rows where ``c1`` is present (*after*) in the
-    same shuffle.
+    same shuffle. The value counts run beside the stats pass, whose min/max
+    the histograms wait for.
     """
     types = detect_types(df)
     if col1 not in df.columns:
@@ -123,19 +123,22 @@ def compute_missing_col(df: DataFrame, col1: str, cfg: Config) -> Intermediates:
     num_cols = [c for c in others if types[c] is EDAType.NUMERICAL]
     cat_cols = [c for c in others if types[c] is EDAType.CATEGORICAL]
 
-    stats = compute.basic_stats_pass(df, types)
-    minmax = {c: (stats[c].get("min"), stats[c].get("max")) for c in num_cols}
-    edges = compute.histogram_edges(num_cols, minmax, cfg["hist.bins"])
-    keep = missing_expr(df, col1) == 0
+    keep = f"{compute.missing_exprs(df, [col1])[0]} = 0"
+    with compute.in_flight(df.sparkSession) as submit:
+        # the value counts need no stats; the histograms need their min/max
+        counts_job = submit(compute.category_counts, df, cat_cols, cfg["bar.top_n"] * 10, keep)
+        stats = compute.basic_stats_pass(df, types)
+        minmax = {c: (stats[c].get("min"), stats[c].get("max")) for c in num_cols}
+        edges = compute.histogram_edges(num_cols, minmax, cfg["hist.bins"])
+        numeric = compute.binned_counts(df, edges, keep)
+        categorical = counts_job.result()[0]
 
     inter = Intermediates(task=f"missing:{col1}")
     inter["col"] = col1
     inter["nrows"] = int(stats["__table__"]["nrows"])
     inter["n_dropped"] = int(stats[col1]["nmissing"])
-    inter["numeric"] = _before_after(compute.binned_counts(df, edges, keep))
-    inter["categorical"] = _before_after(
-        compute.category_counts(df, cat_cols, cfg["bar.top_n"] * 10, keep)[0]
-    )
+    inter["numeric"] = _before_after(numeric)
+    inter["categorical"] = _before_after(categorical)
     # Distribution-shift score per column (KS over binned histograms for
     # numeric, total-variation over value counts for categorical) feeds the
     # 'similar distribution' insight; a column with no values on either side
@@ -151,7 +154,7 @@ def compute_missing_col(df: DataFrame, col1: str, cfg: Config) -> Intermediates:
 def compute_missing_pair(df: DataFrame, col1: str, col2: str, cfg: Config) -> Intermediates:
     """``plot_missing(df, c1, c2)`` — impact of dropping on one column."""
     types = detect_types(df)
-    keep = missing_expr(df, col1) == 0
+    keep = f"{compute.missing_exprs(df, [col1])[0]} = 0"
     inter = Intermediates(task=f"missing:{col1}:{col2}")
     inter["cols"] = (col1, col2)
     t2 = types[col2]
@@ -170,8 +173,8 @@ def compute_missing_pair(df: DataFrame, col1: str, col2: str, cfg: Config) -> In
             "before": np.cumsum(inter["pdf"]["before"]),
             "after": np.cumsum(inter["pdf"]["after"]),
         }
-        box_row = df.select(
-            compute.finite(F.col(col2)).alias("y"), keep.alias("keep")
+        box_row = df.selectExpr(
+            f"{compute.finite(compute.quote(col2))} AS y", f"{keep} AS keep"
         ).agg(
             F.percentile_approx("y", [0.25, 0.5, 0.75]).alias("q_before"),
             F.percentile_approx(F.when(F.col("keep"), F.col("y")), [0.25, 0.5, 0.75]).alias(

@@ -2,7 +2,8 @@
 
 Dataset statistics plus a histogram per numerical column and a bar chart
 per categorical column — computed with four fused passes regardless of
-column count:
+column count, each started as soon as what it needs has returned
+(``compute.in_flight``: passes 1 and 3 together, then 2 and 4 together):
 
 1. ``basic_stats_pass``  — every per-column aggregate, one melted
    aggregate per type class;
@@ -65,16 +66,24 @@ def compute_overview(df: DataFrame, cfg: Config) -> Intermediates:
     num_cols = [c for c, t in types.items() if t is EDAType.NUMERICAL]
     cat_cols = [c for c, t in types.items() if t is EDAType.CATEGORICAL]
 
-    stats = compute.basic_stats_pass(df, types)
-    nrows = int(stats.pop("__table__")["nrows"])
-
-    minmax = {c: (stats[c]["min"], stats[c]["max"]) for c in num_cols}
-    hists = compute.histogram_pass(df, num_cols, minmax, cfg["hist.bins"]) if num_cols else {}
-    bars = compute.value_counts_pass(df, cat_cols) if cat_cols else {}
+    with compute.in_flight(df.sparkSession) as submit:
+        stats_job = submit(compute.basic_stats_pass, df, types)
+        bars_job = submit(compute.value_counts_pass, df, cat_cols) if cat_cols else None
+        # the stats give the bin edges and the row total
+        stats = stats_job.result()
+        nrows = int(stats.pop("__table__")["nrows"])
+        minmax = {c: (stats[c]["min"], stats[c]["max"]) for c in num_cols}
+        hists_job = (
+            submit(compute.histogram_pass, df, num_cols, minmax, cfg["hist.bins"])
+            if num_cols else None
+        )
+        n_dup = duplicate_rows_pass(df, nrows)
+        hists = hists_job.result() if hists_job else {}
+        bars = bars_job.result() if bars_job else {}
 
     inter = Intermediates(task="overview")
     inter["types"] = {c: t.value for c, t in types.items()}
-    inter["dataset_stats"] = dataset_stats(types, stats, nrows, duplicate_rows_pass(df, nrows))
+    inter["dataset_stats"] = dataset_stats(types, stats, nrows, n_dup)
     inter["col_stats"] = stats
     inter["hists"] = hists
     inter["bars"] = {c: s.head(cfg["bar.top_n"]) for c, s in bars.items()}

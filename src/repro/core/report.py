@@ -7,29 +7,41 @@ from the task functions' views: a shared pass plan computes every
 intermediate exactly once, with a fixed, small number of Spark jobs
 **independent of the column count**, and fans the results into the same
 driver-side shapers ``plot`` and ``plot_missing`` use (paper §4.2:
-intermediates computed once, distributed to each visualization):
+intermediates computed once, distributed to each visualization).
 
-1.  one ``basic_stats_pass``       (all stats and the stats+box+Q-Q quantile
-                                    sketch, all columns — one melted
-                                    aggregate per type class)
-2.  one duplicate-row count        (1 scan)
-3.  one ``value_counts_pass``      (all categorical bars and their exact
-                                    totals — 1 melted shuffle, 1 action)
-4.  one ``sample_pass``            (one seeded sample of the finite numeric
-                                    values, shared by KDE, Kendall and the
-                                    interactions)
-5.  one ``compute.partition_rows`` (rows per partition, whose cumulative
-                                    sums number the rows of pass 6)
-6.  one ``comoment_scan``          (1 Python scan: Pearson of all numeric
-                                    pairs, every numeric histogram, the
-                                    nullity correlation and the exact
-                                    missing spectrum of all columns; the
-                                    bin edges from pass 1 and the partition
-                                    offsets from pass 5 are baked into the
-                                    kernel — the paper's precompute-metadata
-                                    stage)
-7.  Spearman: a driver-side rank of the numeric projection (1 collect), or
-    a distributed rank transform + co-moment scan above the cell budget
+The passes form a dependency graph, run like the paper's one Dask graph
+per task: each pass is submitted to a driver thread (``compute.in_flight``)
+as soon as what it waits for has returned, so independent Spark jobs are
+in flight together and the report waits only for its longest chain,
+stats → co-moment scan.
+
+====================================  ======================================
+pass                                  waits for
+====================================  ======================================
+``basic_stats_pass`` (every stat and  nothing (its type classes' aggregates
+the stats+box+Q-Q quantile sketch,    run together too)
+one melted aggregate per type class)
+``compute.partition_rows`` (rows per  nothing
+partition)
+``value_counts_pass`` (all            nothing
+categorical bars and their exact
+totals, 1 melted shuffle, 1 action)
+duplicate-row count (1 distinct       ``partition_rows``: the row total
+count)
+``sample_pass`` (one seeded sample    ``partition_rows``: the row total
+of the numeric columns, shared by     sizes the sampling fraction
+KDE, Kendall and the interactions)
+Spearman (a driver-side rank of the   ``partition_rows``: the row total
+numeric projection, 1 collect, or a   picks the path
+distributed rank + co-moment scan
+above the cell budget)
+``comoment_scan`` (1 Python scan:     ``basic_stats_pass`` (min/max give
+Pearson, every numeric histogram,     the bin edges) and ``partition_rows``
+nullity correlation, exact missing    (the offsets number the rows): the
+spectrum)                             paper's precompute-metadata stage
+Kendall and the interaction hexbins   the sample; they run on the driver
+                                      while the scan is in flight
+====================================  ======================================
 
 The views then shape each section on the driver:
 ``univariate.numerical_view`` / ``categorical_view`` per variable,
@@ -83,44 +95,65 @@ def _hexbins(sample: pd.DataFrame, num_cols: list[str], gs: int) -> dict[tuple[s
     return interactions
 
 
+def _sample(df: DataFrame, num_cols: list[str], nrows: int, cfg: Config) -> pd.DataFrame:
+    """The shared sample of the numeric columns, NaN/±inf masked as missing
+    on the driver (``compute.finite``'s rule)."""
+    if not num_cols:
+        return pd.DataFrame()
+    size = max(cfg["kde.sample_size"], cfg["kendall.sample_size"])
+    sample = compute.sample_pass(df, num_cols, size, cfg["compute.seed"], total_rows=nrows)
+    sample = sample.astype("float64")
+    return sample.where(np.isfinite(sample))
+
+
 def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
-    """All report intermediates: the shared passes, then the views (see module doc)."""
+    """All report intermediates: the pass graph, then the views (see module doc)."""
     types = detect_types(df)
     num_cols = [c for c, t in types.items() if t is EDAType.NUMERICAL]
     cat_cols = [c for c, t in types.items() if t is EDAType.CATEGORICAL]
-
-    # -- Spark Computation phase (shared passes) -------------------------
-    stats = compute.basic_stats_pass(df, types, quantile_probs=quantile_probs(cfg))
-    nrows = int(stats.pop("__table__")["nrows"])
-    n_dup = duplicate_rows_pass(df, nrows)
-    quantiles = {c: stats[c].pop("quantiles") for c in num_cols}
-    minmax = {c: (stats[c]["min"], stats[c]["max"]) for c in num_cols}
-    value_counts = compute.value_counts_pass(df, cat_cols)
-    sample = (
-        compute.sample_pass(
-            df.select(num_cols), num_cols,
-            max(cfg["kde.sample_size"], cfg["kendall.sample_size"]),
-            cfg["compute.seed"], total_rows=nrows,
-        ).astype("float64")
-        if num_cols else pd.DataFrame()
-    )
-    # NaN/±inf → missing, as ``compute.finite`` does in Spark; masked here
-    # because a ``finite`` projection costs ~80 py4j round trips a column
-    sample = sample.where(np.isfinite(sample))
-
-    # one scan for the Pearson matrix, the histograms, the nullity heatmap
-    # and the missing spectrum
-    edges = compute.histogram_edges(num_cols, minmax, cfg["hist.bins"])
-    moments = comoment_scan(df, num_cols, df.columns, edges, cfg["spectrum.bins"])
-    hists = {c: moments.hists.get(c, compute.NO_HISTOGRAM) for c in num_cols}
-    corr: dict[str, pd.DataFrame] = {}
     methods = cfg["correlation.methods"]
-    if "pearson" in methods:
-        corr["pearson"] = moments.pearson()
-    if "spearman" in methods:
-        corr["spearman"] = spearman_matrix(df, num_cols, nrows=nrows)
-    if "kendall" in methods:
-        corr["kendall"] = kendall_matrix(sample.head(cfg["kendall.sample_size"]), num_cols)
+    corr: dict[str, pd.DataFrame] = {}
+
+    # -- Spark Computation phase: the pass graph -------------------------
+    with compute.in_flight(df.sparkSession) as submit:
+        # nothing to wait for
+        stats_job = submit(compute.basic_stats_pass, df, types, quantile_probs=quantile_probs(cfg))
+        layout_job = submit(compute.partition_rows, df)
+        value_counts_job = submit(compute.value_counts_pass, df, cat_cols)
+        # the row total sizes the duplicate count, the sample and the
+        # Spearman collect
+        layout = layout_job.result()
+        nrows = sum(layout.values())
+        duplicates_job = submit(duplicate_rows_pass, df, nrows)
+        sample_job = submit(_sample, df, num_cols, nrows, cfg)
+        if "spearman" in methods:
+            spearman_job = submit(spearman_matrix, df, num_cols, nrows=nrows)
+        # min/max give the bin edges of the one co-moment scan: Pearson, the
+        # histograms, the nullity heatmap and the missing spectrum
+        stats = stats_job.result()
+        del stats["__table__"]
+        quantiles = {c: stats[c].pop("quantiles") for c in num_cols}
+        minmax = {c: (stats[c]["min"], stats[c]["max"]) for c in num_cols}
+        edges = compute.histogram_edges(num_cols, minmax, cfg["hist.bins"])
+        scan_job = submit(
+            comoment_scan, df, num_cols, df.columns, edges, cfg["spectrum.bins"], layout=layout
+        )
+        # driver side, while the scan runs: Kendall and the hexbins need
+        # only the sample
+        sample = sample_job.result()
+        if "kendall" in methods:
+            kendall = kendall_matrix(sample.head(cfg["kendall.sample_size"]), num_cols)
+        interactions = _hexbins(sample, num_cols, cfg["hexbin.gridsize"])
+        moments = scan_job.result()
+        if "pearson" in methods:
+            corr["pearson"] = moments.pearson()
+        if "spearman" in methods:
+            corr["spearman"] = spearman_job.result()
+        if "kendall" in methods:
+            corr["kendall"] = kendall
+        value_counts = value_counts_job.result()
+        n_dup = duplicates_job.result()
+    hists = {c: moments.hists.get(c, compute.NO_HISTOGRAM) for c in num_cols}
 
     # -- pandas Computation phase (the task views) -----------------------
     variables: dict[str, Intermediates] = {}
@@ -140,7 +173,7 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
     inter["types"] = {c: t.value for c, t in types.items()}
     inter["dataset_stats"] = dataset_stats(types, stats, nrows, n_dup)
     inter["variables"] = variables
-    inter["interactions"] = _hexbins(sample, num_cols, cfg["hexbin.gridsize"])
+    inter["interactions"] = interactions
     inter["correlations"] = corr
     inter["missing"] = missing_view(moments)
     inter["value_counts"] = value_counts

@@ -118,22 +118,24 @@ def numerical_view(
 def compute_numerical(df: DataFrame, col: str, cfg: Config) -> Intermediates:
     """Intermediates for univariate analysis of a numerical column.
 
-    Three passes: the stats pass (its quantile sketch included), the
-    histogram, and a sample for the KDE; then ``numerical_view``.
+    Three passes: the stats pass (its quantile sketch included), then the
+    histogram and a sample for the KDE together; then ``numerical_view``.
     """
     types = {col: EDAType.NUMERICAL}
     stats = dict(compute.basic_stats_pass(df, types, quantile_probs=quantile_probs(cfg))[col])
     quantiles = stats.pop("quantiles")
-    hist = compute.histogram_pass(
-        df, [col], {col: (stats["min"], stats["max"])}, cfg["hist.bins"]
-    )[col]
-    sample = compute.sample_pass(
-        df.where(~compute.missing_expr(df, col).cast("boolean")),
-        [col],
-        cfg["kde.sample_size"],
-        cfg["compute.seed"],
-        total_rows=int(stats["count"]),
-    )[col]
+    with compute.in_flight(df.sparkSession) as submit:  # both need the stats only
+        hist_job = submit(
+            compute.histogram_pass, df, [col], {col: (stats["min"], stats["max"])}, cfg["hist.bins"]
+        )
+        sample = compute.sample_pass(
+            df.where(f"{compute.missing_exprs(df, [col])[0]} = 0"),
+            [col],
+            cfg["kde.sample_size"],
+            cfg["compute.seed"],
+            total_rows=int(stats["count"]),
+        )[col]
+        hist = hist_job.result()[col]
     return numerical_view(col, stats, quantiles, hist, sample, cfg)
 
 
@@ -217,10 +219,15 @@ def categorical_view(
 
 
 def compute_categorical(df: DataFrame, col: str, cfg: Config) -> Intermediates:
-    """Intermediates for univariate analysis of a categorical column."""
-    stats = compute.basic_stats_pass(df, {col: EDAType.CATEGORICAL})[col]
-    value_counts = compute.value_counts_pass(df, [col])[col]
-    words = word_frequency_pass(df, col, cfg["wordfreq.top_n"])
+    """Intermediates for univariate analysis of a categorical column.
+
+    The stats pass, the value counts and the word counts run together.
+    """
+    with compute.in_flight(df.sparkSession) as submit:  # three independent passes
+        stats_job = submit(compute.basic_stats_pass, df, {col: EDAType.CATEGORICAL})
+        counts_job = submit(compute.value_counts_pass, df, [col])
+        words = word_frequency_pass(df, col, cfg["wordfreq.top_n"])
+        stats, value_counts = stats_job.result()[col], counts_job.result()[col]
     return categorical_view(col, stats, value_counts, cfg, words)
 
 

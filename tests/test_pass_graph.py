@@ -1,0 +1,96 @@
+"""The report's pass graph: passes in flight together keep the caller's job
+group, raise what a pass raises, leave no thread behind, warn nothing, and
+run with pyspark's pinned-thread mode off too."""
+import itertools
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import warnings
+
+import pytest
+
+from repro.core import compute, create_report
+
+from .test_scan_shape import _stats
+
+_groups = itertools.count()
+
+CALLS = {"create_report": create_report, "basic_stats_pass": _stats}
+
+
+@pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+def test_every_job_runs_under_the_callers_group(spark, titanic, call):
+    sc = spark.sparkContext
+    tracker = sc.statusTracker()
+    group = f"pass-graph-{next(_groups)}"
+    ungrouped = set(tracker.getJobIdsForGroup(None))
+    sc.setJobGroup(group, "the caller's description")
+    try:
+        call(titanic)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    assert tracker.getJobIdsForGroup(group)
+    assert set(tracker.getJobIdsForGroup(None)) <= ungrouped
+
+
+def test_a_failing_pass_raises_its_error(titanic, monkeypatch):
+    error = ValueError("value counts failed")
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(compute, "value_counts_pass", fail)
+    with pytest.raises(ValueError) as raised:
+        create_report(titanic)
+    assert raised.value is error
+
+
+@pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+def test_no_thread_left_and_no_user_warning(titanic, call):
+    before = threading.active_count()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(titanic)
+    assert threading.active_count() == before
+    # the pool is the call's own: none of its threads outlives the call
+    assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+    assert [w for w in caught if issubclass(w.category, UserWarning)] == []
+
+
+_WITHOUT_PINNED_THREADS = textwrap.dedent(
+    """
+    from pyspark.sql import SparkSession
+
+    from repro.core import compute
+    from repro.core.dtypes import detect_types
+
+    spark = (
+        SparkSession.builder.master("local[1]").config("spark.ui.enabled", "false").getOrCreate()
+    )
+    df = spark.range(5).selectExpr("id", "CAST(id AS STRING) AS s")
+    print(compute.basic_stats_pass(df, detect_types(df))["__table__"]["nrows"])
+    spark.stop()
+    """
+)
+
+
+def test_passes_run_with_pinned_threads_off(tmp_path):
+    """``PYSPARK_PIN_THREAD=false``: pyspark's wrapper factory returns the
+    session itself, which the pool must not call."""
+    env = {
+        **{k: v for k, v in os.environ.items() if k != "PYSPARK_SUBMIT_ARGS"},
+        "PYSPARK_PIN_THREAD": "false",
+        "PYTHONPATH": os.pathsep.join(sys.path),
+        "PYSPARK_SUBMIT_ARGS": (
+            "--driver-memory 512m --conf spark.driver.host=127.0.0.1 pyspark-shell"
+        ),
+    }
+    res = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_PINNED_THREADS],
+        capture_output=True, cwd=tmp_path, env=env, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr.decode()[-2000:]
+    assert res.stdout.decode().split()[-1] == "5"

@@ -130,3 +130,28 @@ class TestReportConfig:
 
         r = create_report(titanic, config={"correlation.methods": ()})
         assert r.intermediates["correlations"] == {}
+
+
+def test_baseline_interactions_skip_non_finite_pairs(spark):
+    """A pair with NaN or ±inf on either side is left out before binning.
+
+    Values sit on odd quarters of [0, 10], so with 20 bins none is near a
+    bin edge and numpy's half-open bins give the oracle.
+    """
+    from repro.baseline import eager_profile_report
+
+    x = [0.0, 0.25, 1.75, np.inf, 3.25, 5.25, -np.inf, 7.75, np.nan, 10.0, 9.25, 4.75]
+    y = [10.0, 2.25, np.inf, 3.75, 0.0, np.nan, 6.25, 8.75, 1.25, 4.25, -np.inf, 0.75]
+    pdf = pd.DataFrame({"x": x, "y": y})
+    grid = eager_profile_report(spark.createDataFrame(pdf))["interactions"][("x", "y")]
+
+    gs = Config.from_user()["hexbin.gridsize"]
+    ok = pdf[np.isfinite(pdf["x"]) & np.isfinite(pdf["y"])]
+    want, _, _ = np.histogram2d(
+        ok["x"], ok["y"], bins=gs,
+        range=[[ok["x"].min(), ok["x"].max()], [ok["y"].min(), ok["y"].max()]],
+    )
+    got = np.zeros((gs, gs), dtype="int64")
+    got[grid["xbin"].to_numpy(), grid["ybin"].to_numpy()] = grid["count"].to_numpy()
+    assert got.sum() == len(ok) == 6
+    np.testing.assert_array_equal(got, want.astype("int64"))

@@ -165,3 +165,45 @@ PINNED_JOBS = {
 @pytest.mark.parametrize("call, want", PINNED_JOBS.values(), ids=PINNED_JOBS.keys())
 def test_job_counts_pinned(spark, titanic, call, want):
     assert _jobs(spark, lambda: call(titanic)) == want
+
+
+def test_report_on_awkward_column_names(spark):
+    """Names holding ``.`` or a backtick are taken literally by every pass.
+
+    The report equals the one on the same frame with plain names.
+    """
+    g = np.random.default_rng(5)
+    n = 300
+    pdf = pd.DataFrame({
+        "a.b": g.normal(size=n),
+        "c`d": g.normal(2.0, 3.0, n),
+        "e": g.choice(["u", "v", "w"], n).astype(object),
+    })
+    pdf.loc[::7, "a.b"] = np.nan
+    pdf.loc[::11, "e"] = None
+    awkward = spark.createDataFrame(pdf).repartition(3)
+    awkward.cache().count()
+    rename = {"a.b": "x", "c`d": "y", "e": "z"}
+    try:
+        got = create_report(awkward).intermediates
+        want = create_report(awkward.toDF(*rename.values())).intermediates
+    finally:
+        awkward.unpersist()
+    for c, plain in rename.items():
+        assert got["variables"][c]["stats"] == want["variables"][plain]["stats"], c
+    for c in ("a.b", "c`d"):
+        for k in ("counts", "edges"):
+            np.testing.assert_array_equal(
+                got["variables"][c]["hist"][k], want["variables"][rename[c]]["hist"][k]
+            )
+    pd.testing.assert_series_equal(
+        got["value_counts"]["e"].rename("z"), want["value_counts"]["z"], check_exact=True
+    )
+    pd.testing.assert_frame_equal(
+        got["correlations"]["pearson"].rename(index=rename, columns=rename),
+        want["correlations"]["pearson"],
+        check_exact=True,
+    )
+    pd.testing.assert_series_equal(
+        got["missing"]["bar"].rename(rename), want["missing"]["bar"], check_exact=True
+    )

@@ -1,5 +1,6 @@
-"""Shape of the fused scans: job counts that do not grow with width, and a
-co-moment kernel that executors can run without this package."""
+"""Shape of the fused scans: job counts that do not grow with width, py4j
+round trips that grow by a few per column, and a co-moment kernel that
+executors can run without this package."""
 import itertools
 import os
 import subprocess
@@ -9,6 +10,8 @@ import textwrap
 import numpy as np
 import pandas as pd
 import pytest
+from py4j.clientserver import ClientServerConnection
+from py4j.java_gateway import GatewayConnection
 from pyspark import cloudpickle
 
 from repro.core import compute, create_report
@@ -72,6 +75,54 @@ def test_job_count_independent_of_width(spark, narrow_and_wide, run):
 
 def test_comoment_scan_is_one_job(spark, narrow_and_wide):
     assert _jobs(spark, lambda: _scan(narrow_and_wide[1])) == 1
+
+
+def _round_trips(fn) -> int:
+    """py4j commands ``fn`` sends, on every thread.
+
+    Memory releases are left out: py4j's finalizer thread sends one
+    whenever Python drops a Java reference, at times the garbage collector
+    picks, so they do not repeat from run to run.
+    """
+    count = itertools.count()
+    originals = [(cls, cls.send_command) for cls in (ClientServerConnection, GatewayConnection)]
+
+    def counted(send):
+        def send_command(conn, command, *args, **kwargs):
+            if not command.startswith("m\nd\n"):
+                next(count)
+            return send(conn, command, *args, **kwargs)
+
+        return send_command
+
+    for cls, send in originals:
+        cls.send_command = counted(send)
+    try:
+        fn()
+    finally:
+        for cls, send in originals:
+            cls.send_command = send
+    return next(count)
+
+
+#: py4j round trips on the 8- and 40-column frames of ``test_scan_shape``
+#: (6 + 30 numeric, 2 + 10 categorical columns). The Column-API plans took
+#: 1,011 / 2,291 (stats) and 833 / 4,001 (scan).
+PINNED_ROUND_TRIPS = {"basic_stats_pass": (_stats, 212, 372), "comoment_scan": (_scan, 83, 251)}
+#: round trips per added column, at most
+PER_COLUMN = 6
+
+
+@pytest.mark.parametrize(
+    "run, narrow, wide", PINNED_ROUND_TRIPS.values(), ids=PINNED_ROUND_TRIPS.keys()
+)
+def test_round_trips_pinned(narrow_and_wide, run, narrow, wide):
+    small, large = narrow_and_wide
+    for df in (small, large):
+        detect_types(df)  # the schema is fetched once per frame
+    got = [_round_trips(lambda: run(df)) for df in (small, large)]
+    assert got == [narrow, wide]
+    assert (got[1] - got[0]) / (len(large.columns) - len(small.columns)) <= PER_COLUMN
 
 
 _RUN_WITHOUT_PACKAGE = textwrap.dedent(
