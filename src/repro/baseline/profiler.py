@@ -29,20 +29,18 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.compute import bin_edges, bin_index, finite, missing_expr, quote
+from repro.core.compute import (
+    bin_edges, bin_index, finite, finite_sample, finite_values, missing_expr, quote,
+)
 from repro.core.config import Config
-from repro.core.correlation import kendall_matrix
+from repro.core.correlation import comoment_scan, correlation_view, pearson_matrix, spearman_matrix
 from repro.core.dtypes import EDAType, detect_types
 from repro.core.intermediates import Intermediates
 
 
-def _numeric_clean(df: DataFrame, col: str) -> DataFrame:
-    return df.selectExpr(f"{finite(quote(col))} AS {quote(col)}")
-
-
 def _profile_numeric_column(df: DataFrame, col: str, cfg: Config) -> dict[str, object]:
     """Eager per-column profile: each family is its own Spark action."""
-    proj = _numeric_clean(df, col)
+    proj = finite_values(df, [col])
     stats: dict[str, object] = {}
     stats["count"] = proj.where(F.col(col).isNotNull()).count()                    # action 1
     stats["nmissing"] = df.select(missing_expr(df, col).alias("m")).agg(F.sum("m")).collect()[0][0]  # action 2
@@ -180,23 +178,11 @@ def eager_profile_report(df: DataFrame, config: dict | None = None) -> Intermedi
     # pandas.corr once per method — three independent scans, none shared
     # with the per-column work above). Kendall runs the same exact tau-b
     # kernel as the fused system, on its own sampled collect.
-    from repro.core.correlation import comoment_scan, pearson_matrix, spearman_matrix
-
-    corr: dict[str, pd.DataFrame] = {}
-    methods = cfg["correlation.methods"]
-    if num_cols and "pearson" in methods:
-        corr["pearson"] = pearson_matrix(df, num_cols)
-    if num_cols and "spearman" in methods:
-        corr["spearman"] = spearman_matrix(df, num_cols)
-    if num_cols and "kendall" in methods:
-        ksample = (
-            df.select([F.col(c).cast("double").alias(c) for c in num_cols])
-            .sample(fraction=min(1.0, cfg["kendall.sample_size"] / max(nrows, 1) * 1.1), seed=cfg["compute.seed"])
-            .limit(cfg["kendall.sample_size"])
-            .toPandas()
-        )
-        corr["kendall"] = kendall_matrix(ksample, num_cols)
-    inter["correlations"] = corr
+    inter["correlations"] = correlation_view(
+        cfg["correlation.methods"], num_cols,
+        lambda: finite_sample(df, num_cols, cfg["kendall.sample_size"], cfg["compute.seed"], nrows),
+        lambda: pearson_matrix(df, num_cols), lambda: spearman_matrix(df, num_cols),
+    ) if num_cols else {}
 
     # Missing section: a separate pass per visualization (bar already
     # computed per column above; spectrum, heatmap, dendrogram each rescan).

@@ -480,3 +480,17 @@ def sample_pass(
     frac = min(1.0, (n / total_rows) * 1.1)
     return proj.sample(fraction=frac, seed=seed).limit(n).toPandas()
 
+
+def finite_values(df: DataFrame, cols: list[str]) -> DataFrame:
+    """``cols`` as doubles with NaN/±inf nulled (``finite``), under their own names."""
+    names = [quote(c) for c in cols]
+    return df.selectExpr(*[f"{finite(c)} AS {c}" for c in names])
+
+
+def finite_sample(
+    df: DataFrame, cols: list[str], n: int, seed: int, total_rows: int | None = None
+) -> pd.DataFrame:
+    """``sample_pass`` over ``finite_values`` as float64: NaN/±inf come back missing."""
+    if not cols:
+        return pd.DataFrame()
+    return sample_pass(finite_values(df, cols), cols, n, seed, total_rows).astype("float64")

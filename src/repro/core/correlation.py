@@ -6,31 +6,37 @@ benchmark and are likewise absent here).
 
 Fusion strategy:
 
-* Pearson — one ``mapInPandas`` co-moment scan (``comoment_scan``): each
-  partition emits centred m×m co-moment matrices, merged pairwise on the
-  driver (single scan; pairwise-complete like ``pandas.DataFrame.corr``).
-  The same scan carries the missing indicators the nullity heatmap needs,
-  and can count histograms and the missing spectrum on the way, so a
-  report gets Pearson, its histograms, nullity correlation and spectrum
-  from one pass.
-* Spearman — one rank-transform projection (average ranks with tie
-  correction, per column) followed by the same Pearson on ranks.
-  Columns are ranked once over their own non-nulls; under missing data this
-  approximates pandas' per-pair re-ranking (documented in DESIGN.md).
+* Pearson — one kernel for every form: a ``mapInPandas`` co-moment scan
+  (``comoment_scan``) whose partitions emit centred m×m co-moment
+  matrices, merged pairwise on the driver (pairwise-complete like
+  ``pandas.DataFrame.corr``). The pair's regression line comes from the
+  same moments; below the Spearman cell budget the pair runs the kernel
+  on the driver over one collect of its two columns, which its Spearman
+  ranks too (``_pair_pass``). The scan also carries the missing
+  indicators the nullity heatmap needs, and can count histograms and the
+  missing spectrum on the way, so a report gets all of them from one pass.
+* Spearman — average ranks with tie correction, per column, then the
+  same Pearson on ranks: ranked on the driver below a cell budget, else
+  by ``ranked`` and read by the co-moment scan (``rank_scan``). The
+  vector's Spearman shares its Pearson's scan. Columns are ranked once
+  over their own non-nulls; under missing data this approximates pandas'
+  per-pair re-ranking (documented in DESIGN.md).
 * Kendall — exact tau-b on a seeded, size-capped sample via the
   ``substrate.numutils`` kernel (scipy-free). Precomputed condensed sign
   arrays make the m×m matrix O(m·k² + m²·pairs) instead of O(m²·k²).
+
+Every caller maps methods to matrices through ``correlation_view``.
 """
 from __future__ import annotations
 
 import functools
 import pickle
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core import compute
@@ -42,32 +48,29 @@ from repro.core.render import render
 from repro.substrate import numutils
 
 
-def _clean_numeric(df: DataFrame, cols: list[str]) -> DataFrame:
-    """Project to double columns with NaN/±inf nulled (pairwise semantics)."""
-    names = [compute.quote(c) for c in cols]
-    return df.selectExpr(*[f"{compute.finite(c)} AS {c}" for c in names])
-
-
 def ranked(df: DataFrame, cols: list[str]) -> DataFrame:
-    """Average-rank transform of each column (ties share the mean rank).
+    """Average-rank transform of ``cols`` (ties share the mean rank), under their names.
 
-    ``rank()`` gives the min rank; adding ``(ties−1)/2`` (ties counted per
-    value) yields the average rank, matching ``pandas.rank(method='average')``
-    on the non-null values. Nulls stay null so downstream ``F.corr`` remains
-    pairwise-complete.
+    Each column is ranked over its finite values: ``rank()`` gives the min
+    rank; adding ``(ties−1)/2`` (ties counted per value) yields the average
+    rank, matching ``pandas.rank(method='average')`` on the non-null values.
+    Nulls stay null, so a Pearson of the ranks stays pairwise-complete. The
+    other columns of ``df`` pass through, so values can ride beside ranks.
     """
-    clean = _clean_numeric(df, cols)
-    exprs = []
-    for c in cols:
-        v = F.col(compute.quote(c))
-        w_order = Window.orderBy(v.asc_nulls_last())
-        w_ties = Window.partitionBy(v)
+    quoted = dict(zip(df.columns, map(compute.quote, df.columns)))
+    clean = df.selectExpr(
+        *[f"{compute.finite(q)} AS {q}" if c in cols else q for c, q in quoted.items()]
+    )
+
+    def rank(c: str) -> Column:
+        v = F.col(quoted[c])
         avg_rank = (
-            F.rank().over(w_order).cast("double")
-            + (F.count(v).over(w_ties).cast("double") - 1) / 2
+            F.rank().over(Window.orderBy(v.asc_nulls_last())).cast("double")
+            + (F.count(v).over(Window.partitionBy(v)).cast("double") - 1) / 2
         )
-        exprs.append(F.when(v.isNull(), None).otherwise(avg_rank).alias(c))
-    return clean.select(exprs)
+        return F.when(v.isNull(), None).otherwise(avg_rank).alias(c)
+
+    return clean.select([rank(c) if c in cols else F.col(q) for c, q in quoted.items()])
 
 
 def _comoment_kernel(m: int, bins=(), spectrum=None):
@@ -209,9 +212,21 @@ class CoMoments:
         np.fill_diagonal(corr, 1.0)
         return pd.DataFrame(np.clip(corr, -1.0, 1.0), index=labels, columns=labels)
 
-    def pearson(self) -> pd.DataFrame:
-        """Pairwise-complete Pearson matrix of the value columns."""
-        return self._corr(list(range(len(self.cols))), self.cols)
+    def pearson(self, cols: list[str] | None = None, labels: list[str] | None = None) -> pd.DataFrame:
+        """Pairwise-complete Pearson matrix of value columns ``cols`` (default all),
+        labelled ``labels`` (default ``cols``)."""
+        cols = self.cols if cols is None else cols
+        return self._corr([self.cols.index(c) for c in cols], cols if labels is None else labels)
+
+    def regression(self, x: str, y: str) -> dict[str, float]:
+        """Least-squares line of ``y`` on ``x`` from the complete-pair moments:
+        ``slope = c[x, y] / m2[x, y]``, ``intercept = mean[y, x] − slope·mean[x, y]``,
+        both NaN where ``m2`` or ``n`` is 0."""
+        i, j = self.cols.index(x), self.cols.index(y)
+        if self.n[i, j] == 0 or self.m2[i, j] == 0:
+            return {"slope": float("nan"), "intercept": float("nan")}
+        slope = float(self.c[i, j] / self.m2[i, j])
+        return {"slope": slope, "intercept": float(self.mean[j, i] - slope * self.mean[i, j])}
 
     def missing(self) -> pd.Series:
         """Missing cells per indicator column: its indicator's mean × rows."""
@@ -299,9 +314,7 @@ def comoment_scan(
         .collect()
     )
     partials = [pickle.loads(bytes(r["payload"])) for r in rows]
-    zero = np.zeros((m, m))
-    nrows, n, mean, m2, c = functools.reduce(merge, partials, (0, zero, zero, zero, zero))
-    out = CoMoments(cols, indicators, int(nrows), n, mean, m2, c)
+    out = _merged(cols, indicators, partials, merge)
     counts = [pickle.loads(bytes(r["hist"])) for r in rows] if bins else []
     for i, col in enumerate(edges):
         zeros = np.zeros(len(edges[col]) - 1, dtype="int64")
@@ -328,6 +341,20 @@ def comoment_scan(
     return out
 
 
+def _merged(cols: list[str], indicators: list[str], partials: list[tuple], merge) -> CoMoments:
+    """The kernel's partials merged into ``CoMoments`` (all zero without any)."""
+    zero = np.zeros((len(cols) + len(indicators),) * 2)
+    nrows, n, mean, m2, c = functools.reduce(merge, partials, (0, zero, zero, zero, zero))
+    return CoMoments(cols, indicators, int(nrows), n, mean, m2, c)
+
+
+def _local_comoments(pdf: pd.DataFrame, cols: list[str]) -> CoMoments:
+    """``comoment_scan(df, cols)`` of the driver-side ``pdf``: the same kernel, run here."""
+    kernel, merge = _comoment_kernel(len(cols))
+    out = kernel(iter([pdf[cols].astype("float64")]))
+    return _merged(cols, [], [pickle.loads(p) for part in out for p in part["payload"]], merge)
+
+
 def pearson_matrix(df: DataFrame, cols: list[str]) -> pd.DataFrame:
     """m×m pairwise-complete Pearson matrix in one distributed scan.
 
@@ -340,6 +367,23 @@ def pearson_matrix(df: DataFrame, cols: list[str]) -> pd.DataFrame:
     if len(cols) == 1:
         return pd.DataFrame(np.eye(1), index=cols, columns=cols)
     return comoment_scan(df, cols).pearson()
+
+
+def rank_scan(
+    df: DataFrame, cols: list[str], values: list[str] = ()
+) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """Pearson of ``values`` and Spearman of ``cols`` from one co-moment scan, no cache between.
+
+    The scan reads the ranks of ``cols`` (``ranked``) under their names,
+    beside the finite ``values`` under names longer than any column's.
+    """
+    names = [f"{'_' * max(map(len, df.columns))}_{i}" for i in range(len(values))]
+    frame = df.selectExpr(
+        *map(compute.quote, cols),
+        *[f"{compute.finite(compute.quote(v))} AS {n}" for v, n in zip(values, names)],
+    )
+    moments = comoment_scan(ranked(frame, cols), [*names, *cols])
+    return moments.pearson(names, labels=values), moments.pearson(cols)
 
 
 #: Cell budget below which the Spearman rank transform runs on the driver.
@@ -356,25 +400,30 @@ def spearman_matrix(df: DataFrame, cols: list[str], nrows: int | None = None) ->
     """Spearman = Pearson over the average-rank transform.
 
     Semantics are identical on both paths: each column ranked once over its
-    non-nulls (ties get the mean rank), then pairwise-complete Pearson of
-    the ranks.
+    finite values (ties get the mean rank), then pairwise-complete Pearson
+    of the ranks. Above the cell budget the ranks come from ``rank_scan``.
     """
     if len(cols) == 0:
         return pd.DataFrame()
+    pdf = driver_values(df, cols, nrows)
+    return rank_scan(df, cols)[1] if pdf is None else _ranked_pearson(pdf, cols)
+
+
+def driver_values(df: DataFrame, cols: list[str], nrows: int | None = None) -> pd.DataFrame | None:
+    """``cols``' finite values collected to the driver, or None above the cell budget.
+
+    ``nrows`` (if already known) avoids a count job.
+    """
     if nrows is None:
         nrows = df.count()
-    if nrows * len(cols) <= _SPEARMAN_DRIVER_CELLS:
-        pdf = _clean_numeric(df, cols).toPandas()
-        ranks = pdf.rank(method="average")
-        mat = ranks.corr(method="pearson")
-        return mat.reindex(index=cols, columns=cols)
-    rank_frame = ranked(df, cols)
-    rank_frame.persist()
-    try:
-        rank_frame.count()  # materialize once; the kernel scans the cache
-        return pearson_matrix(rank_frame, cols)
-    finally:
-        rank_frame.unpersist()
+    if nrows * len(cols) > _SPEARMAN_DRIVER_CELLS:
+        return None
+    return compute.finite_values(df, cols).toPandas()
+
+
+def _ranked_pearson(pdf: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
+    """Spearman of the driver-side finite values ``pdf``."""
+    return pdf.rank(method="average").corr(method="pearson").reindex(index=cols, columns=cols)
 
 
 def kendall_matrix(pdf: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
@@ -406,101 +455,114 @@ def kendall_matrix(pdf: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
     return mat
 
 
-def _kendall_sample(df: DataFrame, cols: list[str], cfg: Config) -> pd.DataFrame:
-    return compute.sample_pass(
-        _clean_numeric(df, cols), cols, cfg["kendall.sample_size"], cfg["compute.seed"]
-    )
+Frame = Callable[[], pd.DataFrame]
+
+
+def correlation_view(
+    methods: tuple[str, ...], cols: list[str],
+    sample: Frame | None, pearson: Frame | None, spearman: Frame | None,
+) -> dict[str, pd.DataFrame]:
+    """``{method: matrix over cols}`` for each of ``methods``: every caller's one map.
+
+    ``pearson()``, ``spearman()`` and Kendall's finite ``sample()`` are
+    called only when their method is configured (else they may be None),
+    Kendall first: a caller passing Futures' ``result`` has the driver-side
+    tau-b run while its Spark jobs are in flight.
+    """
+    kendall = kendall_matrix(sample(), cols) if "kendall" in methods else None
+    matrices = {"pearson": pearson, "spearman": spearman, "kendall": lambda: kendall}
+    return {m: matrix() for m, matrix in matrices.items() if m in methods}
+
+
+def _kendall_sample(submit: Callable, df: DataFrame, cols: list[str], cfg: Config) -> Frame | None:
+    """Submit Kendall's sample of ``cols`` when Kendall is configured: its ``result``, else None."""
+    if "kendall" in cfg["correlation.methods"]:
+        size, seed = cfg["kendall.sample_size"], cfg["compute.seed"]
+        return submit(compute.finite_sample, df, cols, size, seed).result
+    return None
 
 
 def compute_correlation(df: DataFrame, cfg: Config) -> Intermediates:
     """``plot_correlation(df)`` — matrices for every configured method."""
     types = detect_types(df)
     cols = [c for c, t in types.items() if t is EDAType.NUMERICAL]
+    methods = cfg["correlation.methods"]
     inter = Intermediates(task="correlation")
     inter["columns"] = cols
-    methods = cfg["correlation.methods"]
-    if "pearson" in methods:
-        inter["pearson"] = pearson_matrix(df, cols)
-    if "spearman" in methods:
-        inter["spearman"] = spearman_matrix(df, cols)
-    if "kendall" in methods:
-        sample = _kendall_sample(df, cols, cfg) if cols else pd.DataFrame(columns=cols)
-        inter["kendall"] = kendall_matrix(sample, cols)
+    with compute.in_flight(df.sparkSession) as submit:
+        pearson = submit(pearson_matrix, df, cols).result if "pearson" in methods else None
+        spearman = submit(spearman_matrix, df, cols).result if "spearman" in methods else None
+        sample = _kendall_sample(submit, df, cols, cfg)
+        inter.data.update(correlation_view(methods, cols, sample, pearson, spearman))
     return inter
 
 
 def compute_correlation_vector(df: DataFrame, col: str, cfg: Config) -> Intermediates:
-    """``plot_correlation(df, col)`` — ``col`` against every other numeric."""
+    """``plot_correlation(df, col)`` — ``col`` against every other numeric (rows ``col``)."""
     if detect_type(df, col) is not EDAType.NUMERICAL:
         raise TypeError(f"plot_correlation requires a numerical column, got {col!r}")
     types = detect_types(df)
     others = [c for c, t in types.items() if t is EDAType.NUMERICAL and c != col]
+    cols = [col] + others
+    methods = cfg["correlation.methods"]
     inter = Intermediates(task=f"correlation:{col}")
     inter["col"] = col
     inter["columns"] = others
-    methods = cfg["correlation.methods"]
-
-    def _vector(frame: DataFrame) -> pd.Series:
-        if not others:
-            return pd.Series(dtype="float64")
-        row = frame.agg(
-            *[F.corr(col, o).alias(o) for o in others]
-        ).collect()[0].asDict()
-        return pd.Series({o: (np.nan if v is None else float(v)) for o, v in row.items()})
-
-    if "pearson" in methods:
-        inter["pearson"] = _vector(_clean_numeric(df, [col] + others))
-    if "spearman" in methods:
-        inter["spearman"] = _vector(ranked(df, [col] + others))
-    if "kendall" in methods:
-        sample = _kendall_sample(df, [col] + others, cfg)
-        kmat = kendall_matrix(sample, [col] + others)
-        inter["kendall"] = kmat.loc[col, others] if others else pd.Series(dtype="float64")
+    with compute.in_flight(df.sparkSession) as submit:
+        if "pearson" in methods or "spearman" in methods:
+            scan = submit(rank_scan, df, cols, cols)
+        sample = _kendall_sample(submit, df, cols, cfg)
+        mats = correlation_view(
+            methods, cols, sample, lambda: scan.result()[0], lambda: scan.result()[1]
+        )
+    inter.data.update({m: mat.loc[col, others] for m, mat in mats.items()})
     return inter
+
+
+def _pair_pass(
+    df: DataFrame, cols: list[str], spearman: bool
+) -> tuple[CoMoments, pd.DataFrame | None]:
+    """The pair's co-moments, and its Spearman matrix when ``spearman``.
+
+    Below the cell budget both come from one collect of the finite values,
+    the co-moment kernel and the ranks run on the driver: a ``mapInPandas``
+    job's fixed cost (Python tasks on every partition) is several times a
+    collect of two columns. Above it, the 2×2 scan and ``rank_scan``.
+    """
+    nrows = df.count()
+    pdf = driver_values(df, cols, nrows)
+    if pdf is None:
+        return comoment_scan(df, cols), (rank_scan(df, cols)[1] if spearman else None)
+    return _local_comoments(pdf, cols), (_ranked_pearson(pdf, cols) if spearman else None)
 
 
 def compute_correlation_pair(df: DataFrame, c1: str, c2: str, cfg: Config) -> Intermediates:
     """``plot_correlation(df, c1, c2)`` — scatter + least-squares line.
 
-    Slope/intercept come from one fused aggregation (covariance, variance,
-    means — a single scan); the scatter is a seeded sample.
+    The pair's 2×2 co-moments give Pearson and the line (``_pair_pass``);
+    the scatter is a seeded sample of the rows where both values are finite.
     """
     for c in (c1, c2):
         if detect_type(df, c) is not EDAType.NUMERICAL:
             raise TypeError(f"plot_correlation requires numerical columns, got {c!r}")
-    clean = _clean_numeric(df, [c1, c2]).where(
-        F.col(c1).isNotNull() & F.col(c2).isNotNull()
-    )
-    row = clean.agg(
-        F.covar_samp(c1, c2).alias("cov"),
-        F.var_samp(c1).alias("var_x"),
-        F.mean(c1).alias("mean_x"),
-        F.mean(c2).alias("mean_y"),
-        F.corr(c1, c2).alias("pearson"),
-        F.count(F.lit(1)).alias("n"),
-    ).collect()[0]
-    slope = (row["cov"] / row["var_x"]) if row["var_x"] else float("nan")
-    intercept = (
-        row["mean_y"] - slope * row["mean_x"]
-        if row["mean_y"] is not None and slope == slope
-        else float("nan")
-    )
-    sample = compute.sample_pass(
-        clean, [c1, c2], cfg["scatter.sample_size"], cfg["compute.seed"], total_rows=int(row["n"])
-    )
+    cols = [c1, c2]
+    methods = cfg["correlation.methods"]
     inter = Intermediates(task=f"correlation:{c1}:{c2}")
     inter["cols"] = (c1, c2)
-    inter["scatter"] = sample
-    inter["regression"] = {"slope": slope, "intercept": intercept}
-    inter["pearson"] = np.nan if row["pearson"] is None else float(row["pearson"])
-    if "spearman" in cfg["correlation.methods"]:
-        inter["spearman"] = float(
-            spearman_matrix(df, [c1, c2]).loc[c1, c2]
+    with compute.in_flight(df.sparkSession) as submit:
+        moments = submit(_pair_pass, df, cols, "spearman" in methods)
+        scatter = submit(
+            compute.sample_pass, compute.finite_values(df, cols).dropna(), cols,
+            cfg["scatter.sample_size"], cfg["compute.seed"],
         )
-    if "kendall" in cfg["correlation.methods"]:
-        inter["kendall"] = float(
-            kendall_matrix(_kendall_sample(df, [c1, c2], cfg), [c1, c2]).loc[c1, c2]
+        sample = _kendall_sample(submit, df, cols, cfg)
+        mats = correlation_view(
+            methods, cols, sample,
+            lambda: moments.result()[0].pearson(), lambda: moments.result()[1],
         )
+        inter["scatter"] = scatter.result()
+        inter["regression"] = moments.result()[0].regression(c1, c2)
+    inter.data.update({m: float(mat.iloc[0, 1]) for m, mat in mats.items()})
     return inter
 
 

@@ -28,8 +28,8 @@ categorical bars and their exact
 totals, 1 melted shuffle, 1 action)
 duplicate-row count (1 distinct       ``partition_rows``: the row total
 count)
-``sample_pass`` (one seeded sample    ``partition_rows``: the row total
-of the numeric columns, shared by     sizes the sampling fraction
+``finite_sample`` (one seeded         ``partition_rows``: the row total
+sample of the numeric columns for     sizes the sampling fraction
 KDE, Kendall and the interactions)
 Spearman (a driver-side rank of the   ``partition_rows``: the row total
 numeric projection, 1 collect, or a   picks the path
@@ -57,7 +57,7 @@ from pyspark.sql import DataFrame
 
 from repro.core import compute
 from repro.core.config import Config
-from repro.core.correlation import comoment_scan, kendall_matrix, spearman_matrix
+from repro.core.correlation import comoment_scan, correlation_view, spearman_matrix
 from repro.core.dtypes import EDAType, detect_types
 from repro.core.insights import correlation_insights, dataset_insights, univariate_insights
 from repro.core.intermediates import EDAResult, Insight, Intermediates
@@ -95,24 +95,12 @@ def _hexbins(sample: pd.DataFrame, num_cols: list[str], gs: int) -> dict[tuple[s
     return interactions
 
 
-def _sample(df: DataFrame, num_cols: list[str], nrows: int, cfg: Config) -> pd.DataFrame:
-    """The shared sample of the numeric columns, NaN/±inf masked as missing
-    on the driver (``compute.finite``'s rule)."""
-    if not num_cols:
-        return pd.DataFrame()
-    size = max(cfg["kde.sample_size"], cfg["kendall.sample_size"])
-    sample = compute.sample_pass(df, num_cols, size, cfg["compute.seed"], total_rows=nrows)
-    sample = sample.astype("float64")
-    return sample.where(np.isfinite(sample))
-
-
 def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
     """All report intermediates: the pass graph, then the views (see module doc)."""
     types = detect_types(df)
     num_cols = [c for c, t in types.items() if t is EDAType.NUMERICAL]
     cat_cols = [c for c, t in types.items() if t is EDAType.CATEGORICAL]
     methods = cfg["correlation.methods"]
-    corr: dict[str, pd.DataFrame] = {}
 
     # -- Spark Computation phase: the pass graph -------------------------
     with compute.in_flight(df.sparkSession) as submit:
@@ -125,9 +113,12 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
         layout = layout_job.result()
         nrows = sum(layout.values())
         duplicates_job = submit(duplicate_rows_pass, df, nrows)
-        sample_job = submit(_sample, df, num_cols, nrows, cfg)
-        if "spearman" in methods:
-            spearman_job = submit(spearman_matrix, df, num_cols, nrows=nrows)
+        size = max(cfg["kde.sample_size"], cfg["kendall.sample_size"])
+        sample_job = submit(compute.finite_sample, df, num_cols, size, cfg["compute.seed"], nrows)
+        spearman = (
+            submit(spearman_matrix, df, num_cols, nrows=nrows).result
+            if "spearman" in methods else None
+        )
         # min/max give the bin edges of the one co-moment scan: Pearson, the
         # histograms, the nullity heatmap and the missing spectrum
         stats = stats_job.result()
@@ -138,19 +129,15 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
         scan_job = submit(
             comoment_scan, df, num_cols, df.columns, edges, cfg["spectrum.bins"], layout=layout
         )
-        # driver side, while the scan runs: Kendall and the hexbins need
+        # driver side, while the scan runs: the hexbins and Kendall need
         # only the sample
         sample = sample_job.result()
-        if "kendall" in methods:
-            kendall = kendall_matrix(sample.head(cfg["kendall.sample_size"]), num_cols)
         interactions = _hexbins(sample, num_cols, cfg["hexbin.gridsize"])
+        corr = correlation_view(
+            methods, num_cols, lambda: sample.head(cfg["kendall.sample_size"]),
+            lambda: scan_job.result().pearson(), spearman,
+        )
         moments = scan_job.result()
-        if "pearson" in methods:
-            corr["pearson"] = moments.pearson()
-        if "spearman" in methods:
-            corr["spearman"] = spearman_job.result()
-        if "kendall" in methods:
-            corr["kendall"] = kendall
         value_counts = value_counts_job.result()
         n_dup = duplicates_job.result()
     hists = {c: moments.hists.get(c, compute.NO_HISTOGRAM) for c in num_cols}

@@ -161,3 +161,113 @@ class TestAPI:
     def test_html_method_tabs(self, correlation_result):
         for m in ("Pearson", "Spearman", "Kendall"):
             assert m in correlation_result.html
+
+
+class TestRankedPath:
+    """The distributed rank transform runs for ``plot_correlation(df, c)``
+    and, on a small frame, nowhere else: the benchmark's traced runs check
+    the same (``perfbench/run.py::path_guard``)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.core import correlation
+
+        calls, original = [], correlation.ranked
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(correlation, "ranked", spy)
+        return calls
+
+    def test_runs_for_the_vector(self, titanic, calls):
+        plot_correlation(titanic, "num_0")
+        assert len(calls) == 1 and calls[0][0] == "num_0"
+
+    @pytest.mark.parametrize("args", [(), ("num_0", "num_1")], ids=["matrix", "pair"])
+    def test_absent_elsewhere(self, titanic, calls, args):
+        plot_correlation(titanic, *args)
+        assert calls == []
+
+    def test_absent_from_the_report(self, titanic, calls):
+        from repro.core import create_report
+
+        create_report(titanic)
+        assert calls == []
+
+
+def test_distributed_spearman_matches_pandas(spark, monkeypatch):
+    """Above the cell budget (here 0) Spearman ranks in Spark; the answer
+    is pandas' average-rank Pearson with ±inf nulled first."""
+    from repro.core import correlation
+
+    g = np.random.default_rng(4)
+    n = 120
+    pdf = pd.DataFrame({
+        "a": g.normal(size=n),
+        "b": np.round(g.normal(size=n) * 2),          # ties
+        "c": g.choice([1.0, 2.0, 3.0], n),            # heavy ties
+    })
+    pdf["d"] = pdf["a"] * 0.5 + g.normal(size=n)
+    pdf.loc[::9, "a"] = np.nan                          # nulls after ingestion
+    pdf.loc[[3, 40], "b"] = [np.inf, -np.inf]
+    pdf.loc[[7], "d"] = np.inf
+    df = spark.createDataFrame(pdf).selectExpr(
+        # a computed NaN stays NaN in Spark
+        "a", "b", "c", "CASE WHEN d > 1.5 THEN CAST('NaN' AS DOUBLE) ELSE d END AS d"
+    ).repartition(3)
+    ref_pdf = df.toPandas().replace([np.inf, -np.inf], np.nan)
+    want = ref_pdf.rank(method="average").corr(method="pearson")
+    cols = ["a", "b", "c", "d"]
+    monkeypatch.setattr(correlation, "_SPEARMAN_DRIVER_CELLS", 0)
+    got = spearman_matrix(df, cols)
+    assert list(got.index) == list(got.columns) == cols
+    np.testing.assert_allclose(got.to_numpy(), want.loc[cols, cols].to_numpy(), rtol=0, atol=1e-12)
+
+
+def test_pair_above_the_cell_budget_matches_the_driver_path(spark, monkeypatch):
+    """Above the cell budget (here 0) the pair reads the 2×2 scan and Spark's
+    ranks instead of running the kernel and the ranks on its one collect;
+    the answers agree."""
+    from repro.core import correlation
+
+    g = np.random.default_rng(6)
+    n = 150
+    pdf = pd.DataFrame({"x": g.normal(size=n)})
+    pdf["y"] = 0.3 * pdf["x"] + np.round(g.normal(size=n))  # ties
+    pdf.loc[::8, "x"] = np.nan
+    pdf.loc[[5, 9], "y"] = [np.inf, -np.inf]
+    df = spark.createDataFrame(pdf).repartition(3)
+    below = plot_correlation(df, "x", "y").intermediates
+    monkeypatch.setattr(correlation, "_SPEARMAN_DRIVER_CELLS", 0)
+    above = plot_correlation(df, "x", "y").intermediates
+    for method in ("pearson", "spearman", "kendall"):
+        assert above[method] == pytest.approx(below[method], rel=0, abs=1e-12), method
+    for k in ("slope", "intercept"):
+        assert above["regression"][k] == pytest.approx(below["regression"][k], rel=0, abs=1e-12), k
+    pd.testing.assert_frame_equal(above["scatter"], below["scatter"], check_exact=True)
+
+
+#: frames the vector and the pair have nothing to correlate on: no rows, one
+#: row, an all-null numeric column, a constant column
+DEGENERATE = {
+    "zero_rows": lambda s: s.createDataFrame([], "x DOUBLE, y DOUBLE"),
+    "one_row": lambda s: s.createDataFrame([(1.0, 2.0)], "x DOUBLE, y DOUBLE"),
+    "all_null": lambda s: s.createDataFrame([(1.0, None), (2.0, None), (4.0, None)], "x DOUBLE, y DOUBLE"),
+    "constant": lambda s: s.createDataFrame([(1.0, 3.0), (2.0, 3.0), (4.0, 3.0)], "x DOUBLE, y DOUBLE"),
+}
+
+
+@pytest.mark.parametrize("make", DEGENERATE.values(), ids=DEGENERATE.keys())
+def test_vector_and_pair_on_degenerate_frames(spark, make):
+    df = make(spark)
+    vector = plot_correlation(df, "x").intermediates
+    for method in ("pearson", "spearman", "kendall"):
+        assert list(vector[method].index) == ["y"]
+        assert np.isnan(vector[method]["y"]), method
+    pair = plot_correlation(df, "y", "x").intermediates
+    for method in ("pearson", "spearman", "kendall"):
+        assert np.isnan(pair[method]), method
+    assert np.isnan(pair["regression"]["slope"]) and np.isnan(pair["regression"]["intercept"])
+    assert len(pair["scatter"]) == df.dropna().count()

@@ -1,4 +1,5 @@
-"""Moments and Pearson against pandas on data far from zero.
+"""Moments, Pearson, Spearman and the regression line against pandas on
+data far from zero.
 
 A column N(offset, spread) is where moments from raw power sums cancel: at
 an offset of 1e6 they give a skew of -3374 (pandas: -0.009), at 1e9 a std
@@ -15,6 +16,7 @@ from repro.core.dtypes import detect_types
 
 OFFSETS = (0.0, 1e6, 1e9)
 PEARSON_ONLY = {"correlation.methods": ["pearson"]}
+WITHOUT_KENDALL = {"correlation.methods": ["pearson", "spearman"]}
 
 
 def _tol(offset: float) -> float:
@@ -78,3 +80,28 @@ def test_plot_correlation_pearson_matches_pandas(shifted):
     offset, df, pdf = shifted
     result = plot_correlation(df, config=PEARSON_ONLY)
     _assert_pearson(result.intermediates["pearson"], pdf, offset)
+
+
+def _assert_vector(got: pd.Series, want: pd.Series, offset: float) -> None:
+    got = got.reindex_like(want).to_numpy(dtype="float64")
+    assert np.isfinite(got).all()
+    assert np.abs(got - want.to_numpy()).max() <= _tol(offset)
+
+
+def test_vector_matches_pandas(shifted):
+    offset, df, pdf = shifted
+    inter = plot_correlation(df, "x", config=WITHOUT_KENDALL).intermediates
+    _assert_vector(inter["pearson"], pdf.corr(method="pearson")["x"].drop("x"), offset)
+    spearman = pdf.rank(method="average").corr(method="pearson")
+    _assert_vector(inter["spearman"], spearman["x"].drop("x"), offset)
+
+
+def test_pair_matches_pandas_and_polyfit(shifted):
+    offset, df, pdf = shifted
+    inter = plot_correlation(df, "x", "y", config=WITHOUT_KENDALL).intermediates
+    tol = _tol(offset)
+    assert inter["pearson"] == pytest.approx(pdf["x"].corr(pdf["y"]), abs=tol)
+    both = pdf[["x", "y"]].dropna()
+    slope, intercept = np.polyfit(both["x"], both["y"], 1)
+    assert inter["regression"]["slope"] == pytest.approx(slope, rel=tol, abs=tol)
+    assert inter["regression"]["intercept"] == pytest.approx(intercept, rel=tol, abs=tol)

@@ -1,6 +1,7 @@
-"""The report's pass graph: passes in flight together keep the caller's job
-group, raise what a pass raises, leave no thread behind, warn nothing, and
-run with pyspark's pinned-thread mode off too."""
+"""The pass graphs of the report and of the correlation vector and pair:
+passes in flight together keep the caller's job group, raise what a pass
+raises, leave no thread behind, warn nothing, and run with pyspark's
+pinned-thread mode off too."""
 import itertools
 import os
 import subprocess
@@ -11,13 +12,18 @@ import warnings
 
 import pytest
 
-from repro.core import compute, create_report
+from repro.core import compute, create_report, plot_correlation
 
 from .test_scan_shape import _stats
 
 _groups = itertools.count()
 
-CALLS = {"create_report": create_report, "basic_stats_pass": _stats}
+CALLS = {
+    "create_report": create_report,
+    "basic_stats_pass": _stats,
+    "plot_correlation_vector": lambda df: plot_correlation(df, "num_0"),
+    "plot_correlation_pair": lambda df: plot_correlation(df, "num_0", "num_1"),
+}
 
 
 @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())

@@ -155,3 +155,27 @@ def test_baseline_interactions_skip_non_finite_pairs(spark):
     got[grid["xbin"].to_numpy(), grid["ybin"].to_numpy()] = grid["count"].to_numpy()
     assert got.sum() == len(ok) == 6
     np.testing.assert_array_equal(got, want.astype("int64"))
+
+
+def test_baseline_kendall_drops_infinity(spark):
+    """±inf is missing in the baseline's Kendall sample too, as in the report's.
+
+    Both draw the same seeded rows through ``compute.finite_sample``, so the
+    tau-b matrices are equal to the last bit.
+    """
+    from repro.baseline import eager_profile_report
+    from repro.core import create_report
+
+    g = np.random.default_rng(9)
+    n = 60
+    x = g.normal(size=n)
+    pdf = pd.DataFrame({"x": x, "y": 0.5 * x + g.normal(size=n), "z": g.normal(size=n)})
+    pdf.loc[[4, 17], "x"] = [np.inf, -np.inf]
+    pdf.loc[[9], "y"] = -np.inf
+    pdf.loc[[30], "z"] = np.nan
+    df = spark.createDataFrame(pdf)
+    cfg = {"correlation.methods": ("kendall",)}
+    assert n <= Config.from_user()["kendall.sample_size"]
+    got = eager_profile_report(df, cfg)["correlations"]["kendall"]
+    want = create_report(df, cfg).intermediates["correlations"]["kendall"]
+    pd.testing.assert_frame_equal(got, want, check_exact=True)

@@ -150,8 +150,8 @@ def test_entry_points_on_zero_rows(spark, call):
 
 
 #: Spark jobs of the report's shared pass plan, of the three
-#: ``plot_missing`` variants and of two univariate calls on the cached
-#: 4-partition titanic frame.
+#: ``plot_missing`` variants, of two univariate calls and of the
+#: correlation vector and pair on the cached 4-partition titanic frame.
 PINNED_JOBS = {
     "create_report": (lambda df: create_report(df), 15),
     "plot_missing": (lambda df: plot_missing(df), 3),
@@ -159,6 +159,8 @@ PINNED_JOBS = {
     "plot_missing_num_0_cat_0": (lambda df: plot_missing(df, "num_0", "cat_0"), 3),
     "plot_num_0": (lambda df: plot(df, "num_0"), 5),
     "plot_cat_0": (lambda df: plot(df, "cat_0"), 10),
+    "plot_correlation_num_0": (lambda df: plot_correlation(df, "num_0"), 5),
+    "plot_correlation_num_0_num_1": (lambda df: plot_correlation(df, "num_0", "num_1"), 9),
 }
 
 
