@@ -40,45 +40,46 @@ from repro.core.intermediates import Intermediates
 
 def _profile_numeric_column(df: DataFrame, col: str, cfg: Config) -> dict[str, object]:
     """Eager per-column profile: each family is its own Spark action."""
-    proj = finite_values(df, [col])
+    # renamed: the Column API would parse a "." or backtick in ``col``
+    proj = finite_values(df, [col]).toDF("v")
     stats: dict[str, object] = {}
-    stats["count"] = proj.where(F.col(col).isNotNull()).count()                    # action 1
+    stats["count"] = proj.where(F.col("v").isNotNull()).count()                    # action 1
     stats["nmissing"] = df.select(missing_expr(df, col).alias("m")).agg(F.sum("m")).collect()[0][0]  # action 2
-    stats["distinct"] = proj.select(col).distinct().count()                        # action 3
-    row = proj.agg(F.min(col), F.max(col)).collect()[0]                            # action 4
+    stats["distinct"] = proj.select("v").distinct().count()                        # action 3
+    row = proj.agg(F.min("v"), F.max("v")).collect()[0]                            # action 4
     stats["min"], stats["max"] = row[0], row[1]
-    row = proj.agg(F.mean(col), F.stddev(col), F.sum(col)).collect()[0]            # action 5
+    row = proj.agg(F.mean("v"), F.stddev("v"), F.sum("v")).collect()[0]            # action 5
     stats["mean"], stats["std"], stats["sum"] = row[0], row[1], row[2]
-    row = proj.agg(F.skewness(col), F.kurtosis(col)).collect()[0]                  # action 6
+    row = proj.agg(F.skewness("v"), F.kurtosis("v")).collect()[0]                  # action 6
     stats["skew"], stats["kurt"] = row[0], row[1]
     row = proj.agg(
-        F.sum((F.col(col) == 0).cast("long")), F.sum((F.col(col) < 0).cast("long"))
+        F.sum((F.col("v") == 0).cast("long")), F.sum((F.col("v") < 0).cast("long"))
     ).collect()[0]                                                                 # action 7
     stats["nzero"], stats["nnegative"] = row[0], row[1]
-    qs = proj.approxQuantile(col, [0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99], 0.001)  # action 8
+    qs = proj.approxQuantile("v", [0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99], 0.001)  # action 8
     stats["quantiles"] = dict(zip((0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99), qs))
     # PP's variables section also builds a "common values" table (value
     # counts of the *numeric* column) and "minimum/maximum 10 values"
     # tables — each its own eager computation in PP, hence own actions.
     common = (
-        proj.where(F.col(col).isNotNull())
-        .groupBy(col).count()
-        .orderBy(F.desc("count"), F.asc(col)).limit(10).toPandas()            # action 9
+        proj.where(F.col("v").isNotNull())
+        .groupBy("v").count()
+        .orderBy(F.desc("count"), F.asc("v")).limit(10).toPandas()            # action 9
     )
     stats["common_values"] = pd.Series(
-        common["count"].to_numpy("int64"), index=common[col].to_numpy(object)
+        common["count"].to_numpy("int64"), index=common["v"].to_numpy(object)
     )
-    nn = proj.where(F.col(col).isNotNull())
-    stats["min_values"] = [r[0] for r in nn.orderBy(F.asc(col)).limit(10).collect()]   # action 10
-    stats["max_values"] = [r[0] for r in nn.orderBy(F.desc(col)).limit(10).collect()]  # action 11
+    nn = proj.where(F.col("v").isNotNull())
+    stats["min_values"] = [r[0] for r in nn.orderBy(F.asc("v")).limit(10).collect()]   # action 10
+    stats["max_values"] = [r[0] for r in nn.orderBy(F.desc("v")).limit(10).collect()]  # action 11
     # histogram: its own min/max pass then its own binning pass (PP's
     # numpy.histogram scans once for the range and once for the bins).
     mn, mx = stats["min"], stats["max"]
     bins = cfg["hist.bins"]
     if mn is not None and mx is not None and mx > mn:
         counts_pdf = (
-            proj.where(F.col(col).isNotNull())
-            .selectExpr(f"{bin_index(quote(col), mn, mx, bins)} AS bin")
+            proj.where(F.col("v").isNotNull())
+            .selectExpr(f"{bin_index('v', mn, mx, bins)} AS bin")
             .groupBy("bin")
             .count()
             .toPandas()                                                            # action 12
@@ -92,25 +93,25 @@ def _profile_numeric_column(df: DataFrame, col: str, cfg: Config) -> dict[str, o
 
 
 def _profile_categorical_column(df: DataFrame, col: str, cfg: Config) -> dict[str, object]:
-    proj = df.select(F.col(col).cast("string").alias(col))
+    proj = df.selectExpr(f"CAST({quote(col)} AS STRING) AS v")
     stats: dict[str, object] = {}
-    stats["count"] = proj.where(F.col(col).isNotNull()).count()                    # action 1
+    stats["count"] = proj.where(F.col("v").isNotNull()).count()                    # action 1
     stats["nmissing"] = df.select(missing_expr(df, col).alias("m")).agg(F.sum("m")).collect()[0][0]  # action 2
-    stats["distinct"] = proj.where(F.col(col).isNotNull()).distinct().count()      # action 3
+    stats["distinct"] = proj.where(F.col("v").isNotNull()).distinct().count()      # action 3
     row = proj.agg(
-        F.min(F.length(col)), F.max(F.length(col)), F.mean(F.length(col))
+        F.min(F.length("v")), F.max(F.length("v")), F.mean(F.length("v"))
     ).collect()[0]                                                                 # action 4
     stats["len_min"], stats["len_max"], stats["len_mean"] = row[0], row[1], row[2]
     vc = (
-        proj.where(F.col(col).isNotNull())
-        .groupBy(col)
+        proj.where(F.col("v").isNotNull())
+        .groupBy("v")
         .count()
-        .orderBy(F.desc("count"), F.asc(col))
+        .orderBy(F.desc("count"), F.asc("v"))
         .limit(1000)
         .toPandas()                                                                # action 5
     )
     stats["value_counts"] = pd.Series(
-        vc["count"].to_numpy("int64"), index=vc[col].to_numpy(object), name=col
+        vc["count"].to_numpy("int64"), index=vc["v"].to_numpy(object), name=col
     )
     return stats
 
@@ -145,7 +146,7 @@ def eager_profile_report(df: DataFrame, config: dict | None = None) -> Intermedi
         variables[c] = _profile_categorical_column(df, c, cfg)
     for c in df.columns:
         if c not in variables:  # datetime columns: min/max only
-            row = df.agg(F.min(c), F.max(c)).collect()[0]
+            row = df.selectExpr(f"min({quote(c)})", f"max({quote(c)})").collect()[0]
             variables[c] = {"min": row[0], "max": row[1]}
     inter["variables"] = variables
     miss_bar = pd.Series({c: int(variables[c].get("nmissing") or 0) for c in df.columns})

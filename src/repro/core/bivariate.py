@@ -88,9 +88,9 @@ def compute_num_cat(df: DataFrame, num: str, cat: str, cfg: Config) -> Intermedi
     The top ``line.ngroups`` categories (by frequency) are analyzed; the
     category ranking, box stats, and line histograms take three fused jobs.
     """
-    proj = df.select(
-        F.col(cat).cast("string").alias("g"), F.expr(compute.finite(compute.quote(num))).alias("y")
-    ).where(F.col("g").isNotNull() & F.col("y").isNotNull())
+    proj = df.selectExpr(
+        f"CAST({compute.quote(cat)} AS STRING) AS g", f"{compute.finite(compute.quote(num))} AS y"
+    ).where("g IS NOT NULL AND y IS NOT NULL")
 
     ngroups = cfg["line.ngroups"]
     top_pdf = (
@@ -145,9 +145,11 @@ def compute_num_cat(df: DataFrame, num: str, cat: str, cfg: Config) -> Intermedi
 
 def compute_cat_cat(df: DataFrame, x: str, y: str, cfg: Config) -> Intermediates:
     """CC pair: one contingency groupBy feeding nested/stacked/heatmap."""
+    qx, qy = compute.quote(x), compute.quote(y)
     ct = (
-        df.where(F.col(x).isNotNull() & F.col(y).isNotNull())
-        .groupBy(F.col(x).cast("string").alias("x"), F.col(y).cast("string").alias("y"))
+        df.selectExpr(f"CAST({qx} AS STRING) AS x", f"CAST({qy} AS STRING) AS y")
+        .where("x IS NOT NULL AND y IS NOT NULL")
+        .groupBy("x", "y")
         .count()
         .toPandas()
     )

@@ -16,8 +16,8 @@ implemented here:
   can be built — the Spark analogue of the paper's "precompute chunk sizes
   before constructing the graph" — and are baked into the job as literals
   (``bin_index``). ``create_report`` counts the same histograms in its
-  co-moment scan instead (``correlation.comoment_scan``), with the same
-  edges and bin rule.
+  co-moment kernel instead (``correlation.comoment_scan``), with the same
+  edges and the same rule in numpy (``bin_of``).
 * ``category_counts``    — the one value count: all categorical columns
   melted and counted by one ``unpivot → groupBy(column, value)``, cut to
   the top values per column with their exact totals in the same action.
@@ -40,6 +40,11 @@ py4j round trips where the Column API costs dozens per expression.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterator, Mapping
@@ -82,6 +87,59 @@ def in_flight(session: SparkSession) -> Iterator[Callable[..., Future]]:
         yield submit
 
 
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """``(get, set)`` of the thread count of the OpenBLAS numpy ships with, or None.
+
+    Looked up in the ``numpy.libs`` directory of numpy's wheels, among the
+    libraries already loaded; the symbols may carry the 64-bit-integer
+    build's ``64_`` suffix. Any other BLAS gives None.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libopenblas*")):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:  # not loaded by this process
+            continue
+        for suffix in ("", "64_"):
+            get = getattr(lib, f"openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+_BLAS_LOCK = threading.Lock()
+
+
+@contextmanager
+def single_threaded_blas() -> Iterator[None]:
+    """Run the block's numpy matrix products on one BLAS thread.
+
+    While passes are in flight Spark's task threads hold every core, and a
+    BLAS call split over several threads waits for cores its other threads
+    do not get: the report's driver-side kernel ran 5× slower so. Spark
+    gives its Python workers one thread each (``OMP_NUM_THREADS``); this
+    does the same for the driver's kernel, then restores the count. Blocks
+    on several threads take turns. Without numpy's own OpenBLAS it does
+    nothing.
+    """
+    openblas = _openblas_threads()
+    if openblas is None:
+        yield
+        return
+    get, put = openblas
+    with _BLAS_LOCK:
+        threads = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(threads)
+
+
 def quote(name: str) -> str:
     """``name`` as a SQL identifier: in backticks, any backtick inside doubled.
 
@@ -109,8 +167,9 @@ def finite(x: str) -> str:
     return f"CASE WHEN isnan({raw}) OR {raw} IN ({_INF}) THEN NULL ELSE {raw} END"
 
 
-def missing_exprs(df: DataFrame, cols: list[str]) -> list[str]:
-    """Per column, SQL text that is 1 when the cell is missing (null, or NaN for float columns).
+def missing_conditions(df: DataFrame, cols: list[str]) -> list[str]:
+    """Per column, SQL text of a BOOLEAN true when the cell is missing
+    (null, or NaN for float columns).
 
     The dtypes are resolved once for all ``cols``.
     """
@@ -119,8 +178,13 @@ def missing_exprs(df: DataFrame, cols: list[str]) -> list[str]:
     for col in cols:
         c = quote(col)
         nan = f" OR isnan({c})" if dtypes[col] in ("double", "float") else ""
-        out.append(f"CAST(({c} IS NULL{nan}) AS BIGINT)")
+        out.append(f"({c} IS NULL{nan})")
     return out
+
+
+def missing_exprs(df: DataFrame, cols: list[str]) -> list[str]:
+    """Per column, SQL text that is 1 when the cell is missing (``missing_conditions``), else 0."""
+    return [f"CAST({m} AS BIGINT)" for m in missing_conditions(df, cols)]
 
 
 def missing_expr(df: DataFrame, col: str) -> Column:
@@ -277,6 +341,28 @@ def bin_index(value: str, mn: float, mx: float, bins: int) -> str:
     width = (mx - mn) / bins
     index = f"least(CAST(floor(({value} - {_double(mn)}) / {_double(width)}) AS INT), {bins - 1})"
     return f"CASE WHEN {value} IS NOT NULL THEN {index} END"
+
+
+def _numpy_bin_rule() -> Callable[[np.ndarray, float, float, int], np.ndarray]:
+    """``bin_index``'s rule over numpy arrays, built in a closure.
+
+    cloudpickle ships a function it cannot import by name (this one's
+    qualified name holds ``<locals>``) by value, so the co-moment kernel can
+    carry it to executors that do not have this package.
+    """
+
+    def bin_of(v: np.ndarray, mn: float, width: float, nbins: int) -> np.ndarray:
+        """The bins of the finite values ``v``: ``floor((v − mn) / width)``
+        capped at ``nbins − 1``, all 0 when ``width`` is 0 (a constant column)."""
+        if width == 0:
+            return np.zeros(v.size, dtype="int64")
+        return np.minimum(np.floor((v - mn) / width), nbins - 1).astype("int64")
+
+    return bin_of
+
+
+#: ``bin_index``'s rule in numpy: the report's histograms and interactions
+bin_of = _numpy_bin_rule()
 
 
 def bin_edges(mn: float, mx: float, bins: int) -> np.ndarray:
@@ -481,10 +567,11 @@ def sample_pass(
     return proj.sample(fraction=frac, seed=seed).limit(n).toPandas()
 
 
-def finite_values(df: DataFrame, cols: list[str]) -> DataFrame:
-    """``cols`` as doubles with NaN/±inf nulled (``finite``), under their own names."""
+def finite_values(df: DataFrame, cols: list[str], *extra: str) -> DataFrame:
+    """``cols`` as doubles with NaN/±inf nulled (``finite``), under their own
+    names, then the SQL expressions ``extra``, in one ``selectExpr``."""
     names = [quote(c) for c in cols]
-    return df.selectExpr(*[f"{finite(c)} AS {c}" for c in names])
+    return df.selectExpr(*[f"{finite(c)} AS {c}" for c in names], *extra)
 
 
 def finite_sample(
@@ -494,3 +581,13 @@ def finite_sample(
     if not cols:
         return pd.DataFrame()
     return sample_pass(finite_values(df, cols), cols, n, seed, total_rows).astype("float64")
+
+
+def drawn(values: pd.DataFrame, n: int, seed: int) -> pd.DataFrame:
+    """At most ``n`` rows of the driver-side ``values``, drawn without replacement.
+
+    The driver path's one numeric sample: the first ``n`` rows of a seeded
+    permutation, so a smaller draw is the head of a larger one.
+    """
+    rows = np.random.default_rng(seed).permutation(len(values))[:n]
+    return values.iloc[rows].reset_index(drop=True)

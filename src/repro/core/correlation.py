@@ -9,20 +9,25 @@ Fusion strategy:
 * Pearson — one kernel for every form: a ``mapInPandas`` co-moment scan
   (``comoment_scan``) whose partitions emit centred m×m co-moment
   matrices, merged pairwise on the driver (pairwise-complete like
-  ``pandas.DataFrame.corr``). The pair's regression line comes from the
-  same moments; below the Spearman cell budget the pair runs the kernel
-  on the driver over one collect of its two columns, which its Spearman
-  ranks too (``_pair_pass``). The scan also carries the missing
+  ``pandas.DataFrame.corr``). The scan also carries the missing
   indicators the nullity heatmap needs, and can count histograms and the
   missing spectrum on the way, so a report gets all of them from one pass.
+  The pair's regression line comes from the same moments.
+* The phase boundary (paper §5.2) — below a cell budget a whole-frame
+  caller collects the finite values once (``driver_values``) and runs the
+  same kernel on the driver (``local_comoments``): ``plot_correlation(df)``
+  and the pair for Pearson and Spearman, ``create_report`` for every
+  numeric pass. A Python-worker job's fixed launch cost is several times
+  such a collect.
 * Spearman — average ranks with tie correction, per column, then the
-  same Pearson on ranks: ranked on the driver below a cell budget, else
-  by ``ranked`` and read by the co-moment scan (``rank_scan``). The
+  same Pearson on ranks: ranked by pandas on the driver below the budget,
+  else by ``ranked`` and read by the co-moment scan (``rank_scan``). The
   vector's Spearman shares its Pearson's scan. Columns are ranked once
   over their own non-nulls; under missing data this approximates pandas'
   per-pair re-ranking (documented in DESIGN.md).
-* Kendall — exact tau-b on a seeded, size-capped sample via the
-  ``substrate.numutils`` kernel (scipy-free). Precomputed condensed sign
+* Kendall — exact tau-b on a seeded, size-capped sample (a numpy draw
+  from the collect below the budget) via the ``substrate.numutils``
+  kernel (scipy-free). Precomputed condensed sign
   arrays make the m×m matrix O(m·k² + m²·pairs) instead of O(m²·k²).
 
 Every caller maps methods to matrices through ``correlation_view``.
@@ -93,9 +98,8 @@ def _comoment_kernel(m: int, bins=(), spectrum=None):
 
     ``bins`` holds ``(position, mn, width, nbins)`` per histogram: the
     finite values of column ``position`` are counted into ``nbins`` bins by
-    ``compute.bin_index``'s rule, ``floor((v − mn) / width)`` capped at
-    ``nbins − 1``, all in bin 0 when ``width`` is 0 (a constant column).
-    The partition's counts travel in an extra ``hist`` column.
+    ``compute.bin_of``, ``compute.bin_index``'s rule in numpy. The
+    partition's counts travel in an extra ``hist`` column.
 
     ``spectrum`` is ``(offsets, nrows, nseg, first)``: batch column ``m``
     is ``monotonically_increasing_id()``, whose high bits are the partition
@@ -106,9 +110,10 @@ def _comoment_kernel(m: int, bins=(), spectrum=None):
     (segment, column) travel in an extra ``spectrum`` column, beside the
     partition id in ``pid``.
 
-    Everything the kernel calls is defined in here: cloudpickle ships a
-    closure by value but a module-level function by reference, and the
-    executors need not have this package installed.
+    Everything the kernel calls is defined in here or held in a closure
+    cell (``compute.bin_of``): cloudpickle ships those by value but a
+    module-level function by reference, and the executors need not have
+    this package installed.
     """
 
     def moments(X):
@@ -136,13 +141,11 @@ def _comoment_kernel(m: int, bins=(), spectrum=None):
         MU = np.where(Na > 0, MUa + D * fb, MUb)
         return rows_a + rows_b, N, MU, M2a + M2b + D * D * W, Ca + Cb + D * D.T * W
 
+    bin_of = compute.bin_of  # a closure cell: shipped by value
+
     def histogram(v, mn, width, nbins):
         v = v[np.isfinite(v)]
-        if width == 0:
-            index = np.zeros(v.size, dtype="int64")
-        else:
-            index = np.minimum(np.floor((v - mn) / width), nbins - 1).astype("int64")
-        return np.bincount(index, minlength=nbins)
+        return np.bincount(bin_of(v, mn, width, nbins), minlength=nbins)
 
     def kernel(batches):
         acc, pid = None, None
@@ -290,11 +293,7 @@ def comoment_scan(
     exprs = [f"CAST({compute.quote(c)} AS DOUBLE)" for c in cols]
     exprs += [f"CAST({e} AS DOUBLE)" for e in compute.missing_exprs(df, indicators)]
     m = len(exprs)
-    edges = edges or {}
-    # (position, mn, width, nbins); a constant column's edges [mn, mn] give width 0
-    bins = [
-        (cols.index(c), e[0], (e[-1] - e[0]) / (len(e) - 1), len(e) - 1) for c, e in edges.items()
-    ]
+    bins = _kernel_bins(cols, edges)
     schema = "payload BINARY" + (", hist BINARY" if bins else "")
     spectrum = None
     if spectrum_bins is not None:
@@ -313,16 +312,8 @@ def comoment_scan(
         .mapInPandas(kernel, schema)
         .collect()
     )
-    partials = [pickle.loads(bytes(r["payload"])) for r in rows]
-    out = _merged(cols, indicators, partials, merge)
-    counts = [pickle.loads(bytes(r["hist"])) for r in rows] if bins else []
-    for i, col in enumerate(edges):
-        zeros = np.zeros(len(edges[col]) - 1, dtype="int64")
-        out.hists[col] = (sum((h[i] for h in counts), zeros), edges[col])
+    out, scanned = _unpacked(rows, cols, indicators, merge, edges, spectrum_bins)
     if spectrum is not None:
-        scanned: dict[int, int] = {}
-        for r, p in zip(rows, partials):
-            scanned[r["pid"]] = scanned.get(r["pid"], 0) + p[0]
         moved = {
             pid: (layout.get(pid, 0), scanned.get(pid, 0))
             for pid in sorted(layout.keys() | scanned.keys())
@@ -333,12 +324,46 @@ def comoment_scan(
                 "the partition layout changed between compute.partition_rows and the "
                 f"scan; (counted, scanned) rows per partition: {moved}"
             )
-        parts = [pickle.loads(bytes(r["spectrum"])) for r in rows]
-        out.segments = (
-            sum((p[0] for p in parts), np.zeros(spectrum_bins, dtype="int64")),
-            sum((p[1] for p in parts), np.zeros((spectrum_bins, len(indicators)), dtype="int64")),
-        )
     return out
+
+
+def _kernel_bins(cols: list[str], edges: Mapping[str, np.ndarray] | None) -> list[tuple]:
+    """The kernel's ``(position, mn, width, nbins)`` of each histogram in ``edges``;
+    a constant column's edges ``[mn, mn]`` give width 0."""
+    return [
+        (cols.index(c), e[0], (e[-1] - e[0]) / (len(e) - 1), len(e) - 1)
+        for c, e in (edges or {}).items()
+    ]
+
+
+def _unpacked(
+    parts: list, cols: list[str], indicators: list[str], merge,
+    edges: Mapping[str, np.ndarray] | None, spectrum_bins: int | None,
+) -> tuple[CoMoments, dict[int, int]]:
+    """The kernel's outputs ``parts`` (its rows, read by column name) as ``CoMoments``.
+
+    The partials are merged, the histograms of ``edges`` and the spectrum
+    over ``spectrum_bins`` segments summed. The second result maps each
+    partition id to the rows the kernel numbered in it (empty without a
+    spectrum). Every caller of the kernel reads its outputs here.
+    """
+    partials = [pickle.loads(bytes(p["payload"])) for p in parts]
+    out = _merged(cols, indicators, partials, merge)
+    edges = edges or {}
+    counts = [pickle.loads(bytes(p["hist"])) for p in parts] if edges else []
+    for i, col in enumerate(edges):
+        zeros = np.zeros(len(edges[col]) - 1, dtype="int64")
+        out.hists[col] = (sum((h[i] for h in counts), zeros), edges[col])
+    scanned: dict[int, int] = {}
+    if spectrum_bins is not None:
+        for p, partial in zip(parts, partials):
+            scanned[int(p["pid"])] = scanned.get(int(p["pid"]), 0) + partial[0]
+        spectra = [pickle.loads(bytes(p["spectrum"])) for p in parts]
+        out.segments = (
+            sum((s[0] for s in spectra), np.zeros(spectrum_bins, dtype="int64")),
+            sum((s[1] for s in spectra), np.zeros((spectrum_bins, len(indicators)), dtype="int64")),
+        )
+    return out, scanned
 
 
 def _merged(cols: list[str], indicators: list[str], partials: list[tuple], merge) -> CoMoments:
@@ -348,11 +373,43 @@ def _merged(cols: list[str], indicators: list[str], partials: list[tuple], merge
     return CoMoments(cols, indicators, int(nrows), n, mean, m2, c)
 
 
-def _local_comoments(pdf: pd.DataFrame, cols: list[str]) -> CoMoments:
-    """``comoment_scan(df, cols)`` of the driver-side ``pdf``: the same kernel, run here."""
-    kernel, merge = _comoment_kernel(len(cols))
-    out = kernel(iter([pdf[cols].astype("float64")]))
-    return _merged(cols, [], [pickle.loads(p) for part in out for p in part["payload"]], merge)
+#: rows per batch the driver feeds the kernel: each batch's float copy and
+#: m×m products stay a few MB however many rows were collected
+_DRIVER_BATCH = 2048
+
+
+def local_comoments(
+    pdf: pd.DataFrame,
+    cols: list[str],
+    indicators: list[str] = (),
+    edges: Mapping[str, np.ndarray] | None = None,
+    spectrum_bins: int | None = None,
+) -> CoMoments:
+    """``comoment_scan`` of the driver-side frame ``pdf``: the same kernel, run here.
+
+    ``pdf`` holds the finite values of ``cols``, then the missing flags of
+    ``indicators``, as ``driver_values`` collects them. The kernel takes it
+    in batches of ``_DRIVER_BATCH`` rows; the spectrum numbers rows in
+    ``pdf``'s order, which is partition order, as one partition.
+    """
+    cols, indicators = list(cols), list(indicators)
+    bins = _kernel_bins(cols, edges)
+    spectrum = None
+    if spectrum_bins is not None:
+        spectrum = ({0: 0}, max(len(pdf), 1), spectrum_bins, len(cols))
+    kernel, merge = _comoment_kernel(len(cols) + len(indicators), bins, spectrum)
+    (row_id,) = _fresh_names(pdf.columns, 1)
+
+    def batches():
+        for start in range(0, len(pdf), _DRIVER_BATCH):
+            batch = pdf.iloc[start:start + _DRIVER_BATCH]
+            if spectrum is not None:  # a row id as the kernel reads it: position in partition 0
+                batch = batch.assign(**{row_id: np.arange(start, start + len(batch))})
+            yield batch
+
+    with compute.single_threaded_blas():
+        parts = [out.iloc[0] for out in kernel(batches())]
+    return _unpacked(parts, cols, indicators, merge, edges, spectrum_bins)[0]
 
 
 def pearson_matrix(df: DataFrame, cols: list[str]) -> pd.DataFrame:
@@ -377,7 +434,7 @@ def rank_scan(
     The scan reads the ranks of ``cols`` (``ranked``) under their names,
     beside the finite ``values`` under names longer than any column's.
     """
-    names = [f"{'_' * max(map(len, df.columns))}_{i}" for i in range(len(values))]
+    names = _fresh_names(df.columns, len(values))
     frame = df.selectExpr(
         *map(compute.quote, cols),
         *[f"{compute.finite(compute.quote(v))} AS {n}" for v, n in zip(values, names)],
@@ -386,14 +443,25 @@ def rank_scan(
     return moments.pearson(names, labels=values), moments.pearson(cols)
 
 
-#: Cell budget below which the Spearman rank transform runs on the driver.
-#: Ranking is the one correlation step that does not *reduce* data (every
-#: rank column is as big as its input), and each distributed global-order
-#: window re-sorts the full row — O(m²·n) movement. The paper handles
-#: exactly this with a heuristic Dask/pandas phase boundary (§5.2); ours is
-#: a cell budget: ≤ ~40 MB collects and ranks in pandas, larger inputs use
-#: the distributed window path.
+#: Cell budget of the phase boundary (paper §5.2). Below it a whole-frame
+#: caller collects the finite numeric values once and runs its numeric
+#: passes on the driver (``driver_values``): the report and
+#: ``plot_correlation(df)`` all of them, the pair its two columns. Above
+#: it they run in Spark, and Spearman ranks with the distributed window
+#: path. Ranking is the one correlation step that does not *reduce* data
+#: (every rank column is as big as its input), and each distributed
+#: global-order window re-sorts the full row — O(m²·n) movement; on small
+#: data a Python-worker job's fixed launch cost dominates besides. So the
+#: budget bounds the driver's memory, not its time: ``create_report`` on
+#: the driver path was 3–6× faster than in Spark at every measured size up
+#: to 7.2M cells, and its driver peak RSS grew about 33 MB per million
+#: cells, 100–165 MB above the Spark path's at the budget (DESIGN.md §4b).
 _SPEARMAN_DRIVER_CELLS = 5_000_000
+
+
+def _fresh_names(columns: list[str], k: int) -> list[str]:
+    """``k`` names longer than any of ``columns``, so none of them collides."""
+    return [f"{'_' * max(map(len, columns), default=0)}_{i}" for i in range(k)]
 
 
 def spearman_matrix(df: DataFrame, cols: list[str], nrows: int | None = None) -> pd.DataFrame:
@@ -406,24 +474,32 @@ def spearman_matrix(df: DataFrame, cols: list[str], nrows: int | None = None) ->
     if len(cols) == 0:
         return pd.DataFrame()
     pdf = driver_values(df, cols, nrows)
-    return rank_scan(df, cols)[1] if pdf is None else _ranked_pearson(pdf, cols)
+    return rank_scan(df, cols)[1] if pdf is None else ranked_pearson(pdf, cols)
 
 
-def driver_values(df: DataFrame, cols: list[str], nrows: int | None = None) -> pd.DataFrame | None:
+def driver_values(
+    df: DataFrame, cols: list[str], nrows: int | None = None, indicators: list[str] = ()
+) -> pd.DataFrame | None:
     """``cols``' finite values collected to the driver, or None above the cell budget.
 
-    ``nrows`` (if already known) avoids a count job.
+    The missing flag of each of ``indicators`` (``compute.missing_conditions``)
+    follows the values as a BOOLEAN column, under a name no column has; in
+    the budget a flag's byte counts an eighth of a value's cell. The rows
+    come in partition order. ``nrows`` (if already known) avoids a count job.
     """
     if nrows is None:
         nrows = df.count()
-    if nrows * len(cols) > _SPEARMAN_DRIVER_CELLS:
+    if nrows * (len(cols) + len(indicators) / 8) > _SPEARMAN_DRIVER_CELLS:
         return None
-    return compute.finite_values(df, cols).toPandas()
+    names = map(compute.quote, _fresh_names(df.columns, len(indicators)))
+    flags = [f"{m} AS {n}" for m, n in zip(compute.missing_conditions(df, indicators), names)]
+    return compute.finite_values(df, cols, *flags).toPandas()
 
 
-def _ranked_pearson(pdf: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
-    """Spearman of the driver-side finite values ``pdf``."""
-    return pdf.rank(method="average").corr(method="pearson").reindex(index=cols, columns=cols)
+def ranked_pearson(pdf: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
+    """Spearman of ``cols`` from the driver-side finite values ``pdf``: the
+    co-moment kernel's Pearson of pandas' average ranks, as above the budget."""
+    return local_comoments(pdf[cols].rank(method="average"), cols).pearson()
 
 
 def kendall_matrix(pdf: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
@@ -489,6 +565,14 @@ def compute_correlation(df: DataFrame, cfg: Config) -> Intermediates:
     methods = cfg["correlation.methods"]
     inter = Intermediates(task="correlation")
     inter["columns"] = cols
+    pdf = driver_values(df, cols) if cols else pd.DataFrame()
+    if pdf is not None:  # below the cell budget: every method on the driver, over one collect
+        size, seed = cfg["kendall.sample_size"], cfg["compute.seed"]
+        inter.data.update(correlation_view(
+            methods, cols, lambda: compute.drawn(pdf, size, seed),
+            lambda: local_comoments(pdf, cols).pearson(), lambda: ranked_pearson(pdf, cols),
+        ))
+        return inter
     with compute.in_flight(df.sparkSession) as submit:
         pearson = submit(pearson_matrix, df, cols).result if "pearson" in methods else None
         spearman = submit(spearman_matrix, df, cols).result if "spearman" in methods else None
@@ -533,7 +617,7 @@ def _pair_pass(
     pdf = driver_values(df, cols, nrows)
     if pdf is None:
         return comoment_scan(df, cols), (rank_scan(df, cols)[1] if spearman else None)
-    return _local_comoments(pdf, cols), (_ranked_pearson(pdf, cols) if spearman else None)
+    return local_comoments(pdf, cols), (ranked_pearson(pdf, cols) if spearman else None)
 
 
 def compute_correlation_pair(df: DataFrame, c1: str, c2: str, cfg: Config) -> Intermediates:
@@ -551,8 +635,9 @@ def compute_correlation_pair(df: DataFrame, c1: str, c2: str, cfg: Config) -> In
     inter["cols"] = (c1, c2)
     with compute.in_flight(df.sparkSession) as submit:
         moments = submit(_pair_pass, df, cols, "spearman" in methods)
+        complete = " AND ".join(f"{compute.quote(c)} IS NOT NULL" for c in cols)
         scatter = submit(
-            compute.sample_pass, compute.finite_values(df, cols).dropna(), cols,
+            compute.sample_pass, compute.finite_values(df, cols).where(complete), cols,
             cfg["scatter.sample_size"], cfg["compute.seed"],
         )
         sample = _kendall_sample(submit, df, cols, cfg)

@@ -12,8 +12,13 @@ intermediates computed once, distributed to each visualization).
 The passes form a dependency graph, run like the paper's one Dask graph
 per task: each pass is submitted to a driver thread (``compute.in_flight``)
 as soon as what it waits for has returned, so independent Spark jobs are
-in flight together and the report waits only for its longest chain,
-stats → co-moment scan.
+in flight together.
+
+The row total picks the phase (paper §5.2: a big-data phase, then a
+small-data pandas phase, with a heuristic boundary). Below the cell budget
+(``correlation._SPEARMAN_DRIVER_CELLS``; every Table-2 shape) the numeric
+passes run on the driver over **one collect**, in place of a Spark sample,
+a Python-worker scan and a Spearman collect; above it they run in Spark.
 
 ====================================  ======================================
 pass                                  waits for
@@ -28,26 +33,38 @@ categorical bars and their exact
 totals, 1 melted shuffle, 1 action)
 duplicate-row count (1 distinct       ``partition_rows``: the row total
 count)
+*below the budget:*
+``driver_values`` (1 collect: the     ``partition_rows``: the row total
+finite numeric values and every       picks the phase
+column's missing flag)
+on the driver, over that collect:     the collect only: its min/max equal
+``local_comoments`` (the co-moment    the stats pass's, so nothing waits
+kernel: Pearson, every numeric        for the stats
+histogram, nullity correlation,
+exact missing spectrum in collect
+order), Spearman, a seeded numpy
+sample (KDE, Kendall) and the
+interactions over every row
+*above the budget:*
 ``finite_sample`` (one seeded         ``partition_rows``: the row total
-sample of the numeric columns for     sizes the sampling fraction
-KDE, Kendall and the interactions)
-Spearman (a driver-side rank of the   ``partition_rows``: the row total
-numeric projection, 1 collect, or a   picks the path
-distributed rank + co-moment scan
-above the cell budget)
-``comoment_scan`` (1 Python scan:     ``basic_stats_pass`` (min/max give
-Pearson, every numeric histogram,     the bin edges) and ``partition_rows``
-nullity correlation, exact missing    (the offsets number the rows): the
-spectrum)                             paper's precompute-metadata stage
-Kendall and the interaction hexbins   the sample; they run on the driver
+Spark sample of the numeric columns   sizes the sampling fraction
+for KDE, Kendall and the
+interactions)
+Spearman (distributed rank +          ``partition_rows``
+co-moment scan)
+``comoment_scan`` (the same kernel    ``basic_stats_pass`` (min/max give
+as 1 Python scan)                     the bin edges) and ``partition_rows``
+                                      (the offsets number the rows): the
+                                      paper's precompute-metadata stage
+Kendall and the interactions          the sample; they run on the driver
                                       while the scan is in flight
 ====================================  ======================================
 
 The views then shape each section on the driver:
 ``univariate.numerical_view`` / ``categorical_view`` per variable,
 ``overview.dataset_stats`` for the overview and ``missing.missing_view``
-for the missing values. Only the interactions (hexbins of the shared
-sample) are the report's own.
+for the missing values. Only the interactions are the report's own: a
+hexbin grid per numeric pair, binned by the histograms' rule.
 """
 from __future__ import annotations
 
@@ -57,7 +74,10 @@ from pyspark.sql import DataFrame
 
 from repro.core import compute
 from repro.core.config import Config
-from repro.core.correlation import comoment_scan, correlation_view, spearman_matrix
+from repro.core.correlation import (
+    comoment_scan, correlation_view, driver_values, local_comoments, ranked_pearson,
+    spearman_matrix,
+)
 from repro.core.dtypes import EDAType, detect_types
 from repro.core.insights import correlation_insights, dataset_insights, univariate_insights
 from repro.core.intermediates import EDAResult, Insight, Intermediates
@@ -67,32 +87,49 @@ from repro.core.render import render_report, stats_table, svg_bars, svg_line
 from repro.core.univariate import categorical_view, numerical_view, quantile_probs
 
 
-def _hexbins(sample: pd.DataFrame, num_cols: list[str], gs: int) -> dict[tuple[str, str], pd.DataFrame]:
-    """Interactions: a hexbin grid per numeric pair, from the shared sample.
+def _hexbins(
+    rows: pd.DataFrame,
+    num_cols: list[str],
+    minmax: dict[str, tuple[float | None, float | None]],
+    gs: int,
+) -> dict[tuple[str, str], pd.DataFrame]:
+    """Interactions: a hexbin grid per numeric pair over the finite pairs of ``rows``.
 
-    A documented substitution: Pandas-profiling recomputes each pair from
-    the full frame, and so does the baseline.
+    Each column is binned by ``compute.bin_of`` into ``gs`` bins over its
+    ``minmax``, the histograms' rule over the same min/max. ``rows`` is
+    every row below the cell budget, the shared sample above it.
     """
+    cells = gs * gs
+    # per column, x's cell offset and y's bin; a value that is not finite
+    # maps past the grid, so every pair holding it falls outside it too
+    xcell, ybin = {}, {}
+    for c in num_cols:
+        v = rows[c].to_numpy(dtype="float64")
+        ok = np.isfinite(v)
+        b = np.full(v.size, cells)
+        if ok.any():
+            mn, mx = minmax[c]
+            b[ok] = compute.bin_of(v[ok], mn, (mx - mn) / gs, gs)
+        xcell[c], ybin[c] = np.where(ok, b * gs, cells), b
     interactions: dict[tuple[str, str], pd.DataFrame] = {}
     for i, a in enumerate(num_cols):
         for b in num_cols[i + 1:]:
-            xv = sample[a].to_numpy()
-            yv = sample[b].to_numpy()
-            ok = np.isfinite(xv) & np.isfinite(yv)
-            xv, yv = xv[ok], yv[ok]
-            if xv.size == 0:
-                interactions[(a, b)] = pd.DataFrame(columns=["xbin", "ybin", "count"])
-                continue
-            xspan = (xv.max() - xv.min()) or 1.0
-            yspan = (yv.max() - yv.min()) or 1.0
-            xb = np.clip(((xv - xv.min()) / xspan * gs).astype(int), 0, gs - 1)
-            yb = np.clip(((yv - yv.min()) / yspan * gs).astype(int), 0, gs - 1)
-            flat = np.bincount(xb * gs + yb, minlength=gs * gs)
-            nz = np.nonzero(flat)[0]
+            flat = np.bincount(xcell[a] + ybin[b], minlength=cells)[:cells]
+            nz = np.flatnonzero(flat)
             interactions[(a, b)] = pd.DataFrame(
                 {"xbin": nz // gs, "ybin": nz % gs, "count": flat[nz]}
             )
     return interactions
+
+
+def _finite_minmax(values: pd.DataFrame, cols: list[str]) -> dict[str, tuple]:
+    """Min and max of each of ``cols`` in the driver-side finite ``values``,
+    None without any: the stats pass's, exactly."""
+    out = {}
+    for c in cols:
+        mn, mx = values[c].min(), values[c].max()
+        out[c] = (None, None) if np.isnan(mn) else (float(mn), float(mx))
+    return out
 
 
 def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
@@ -101,6 +138,8 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
     num_cols = [c for c, t in types.items() if t is EDAType.NUMERICAL]
     cat_cols = [c for c, t in types.items() if t is EDAType.CATEGORICAL]
     methods = cfg["correlation.methods"]
+    seed, bins, segments = cfg["compute.seed"], cfg["hist.bins"], cfg["spectrum.bins"]
+    size = max(cfg["kde.sample_size"], cfg["kendall.sample_size"])
 
     # -- Spark Computation phase: the pass graph -------------------------
     with compute.in_flight(df.sparkSession) as submit:
@@ -108,38 +147,50 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
         stats_job = submit(compute.basic_stats_pass, df, types, quantile_probs=quantile_probs(cfg))
         layout_job = submit(compute.partition_rows, df)
         value_counts_job = submit(compute.value_counts_pass, df, cat_cols)
-        # the row total sizes the duplicate count, the sample and the
-        # Spearman collect
+        # the row total sizes the duplicate count and picks the phase
         layout = layout_job.result()
         nrows = sum(layout.values())
         duplicates_job = submit(duplicate_rows_pass, df, nrows)
-        size = max(cfg["kde.sample_size"], cfg["kendall.sample_size"])
-        sample_job = submit(compute.finite_sample, df, num_cols, size, cfg["compute.seed"], nrows)
-        spearman = (
-            submit(spearman_matrix, df, num_cols, nrows=nrows).result
-            if "spearman" in methods else None
-        )
-        # min/max give the bin edges of the one co-moment scan: Pearson, the
-        # histograms, the nullity heatmap and the missing spectrum
-        stats = stats_job.result()
-        del stats["__table__"]
-        quantiles = {c: stats[c].pop("quantiles") for c in num_cols}
-        minmax = {c: (stats[c]["min"], stats[c]["max"]) for c in num_cols}
-        edges = compute.histogram_edges(num_cols, minmax, cfg["hist.bins"])
-        scan_job = submit(
-            comoment_scan, df, num_cols, df.columns, edges, cfg["spectrum.bins"], layout=layout
-        )
-        # driver side, while the scan runs: the hexbins and Kendall need
-        # only the sample
-        sample = sample_job.result()
-        interactions = _hexbins(sample, num_cols, cfg["hexbin.gridsize"])
+        values = driver_values(df, num_cols, nrows, df.columns)
+        if values is not None:
+            # below the cell budget: one collect, and the co-moment kernel
+            # (Pearson, histograms, nullity, missing spectrum), Spearman, the
+            # sample and the interactions run on it here while the Spark
+            # passes are in flight; its min/max equal the stats pass's
+            minmax = _finite_minmax(values, num_cols)
+            edges = compute.histogram_edges(num_cols, minmax, bins)
+            moments = local_comoments(values, num_cols, df.columns, edges, segments)
+            scan = lambda: moments  # the co-moments; a Future's result above the budget
+            spearman = lambda: ranked_pearson(values, num_cols)
+            sample = compute.drawn(values, size, seed)[num_cols]
+            rows = values  # the interactions bin every row
+        else:
+            # above it: a seeded Spark sample, the distributed rank and one
+            # co-moment scan, whose bin edges wait for the stats pass's min/max
+            sample_job = submit(compute.finite_sample, df, num_cols, size, seed, nrows)
+            spearman = (
+                submit(spearman_matrix, df, num_cols, nrows=nrows).result
+                if "spearman" in methods else None
+            )
+            stats = stats_job.result()
+            minmax = {c: (stats[c]["min"], stats[c]["max"]) for c in num_cols}
+            edges = compute.histogram_edges(num_cols, minmax, bins)
+            scan = submit(
+                comoment_scan, df, num_cols, df.columns, edges, segments, layout=layout
+            ).result
+            rows = sample = sample_job.result()
+        # driver side, while Spark jobs are in flight
+        interactions = _hexbins(rows, num_cols, minmax, cfg["hexbin.gridsize"])
         corr = correlation_view(
             methods, num_cols, lambda: sample.head(cfg["kendall.sample_size"]),
-            lambda: scan_job.result().pearson(), spearman,
+            lambda: scan().pearson(), spearman,
         )
-        moments = scan_job.result()
+        moments = scan()
+        stats = stats_job.result()
+        del stats["__table__"]
         value_counts = value_counts_job.result()
         n_dup = duplicates_job.result()
+    quantiles = {c: stats[c].pop("quantiles") for c in num_cols}
     hists = {c: moments.hists.get(c, compute.NO_HISTOGRAM) for c in num_cols}
 
     # -- pandas Computation phase (the task views) -----------------------

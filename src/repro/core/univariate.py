@@ -149,7 +149,7 @@ def word_frequency_pass(df: DataFrame, col: str, top_n: int) -> Intermediates:
     words = (
         df.select(
             F.explode(
-                F.split(F.lower(F.col(col).cast("string")), r"[^0-9a-zA-Z]+")
+                F.split(F.lower(F.col(compute.quote(col)).cast("string")), r"[^0-9a-zA-Z]+")
             ).alias("word")
         )
         .where(F.col("word") != "")

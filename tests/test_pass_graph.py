@@ -1,7 +1,8 @@
 """The pass graphs of the report and of the correlation vector and pair:
 passes in flight together keep the caller's job group, raise what a pass
-raises, leave no thread behind, warn nothing, and run with pyspark's
-pinned-thread mode off too."""
+raises, leave no thread and no py4j connection behind, warn nothing, and
+run with pyspark's pinned-thread mode off too."""
+import gc
 import itertools
 import os
 import subprocess
@@ -64,6 +65,24 @@ def test_no_thread_left_and_no_user_warning(titanic, call):
     # the pool is the call's own: none of its threads outlives the call
     assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
     assert [w for w in caught if issubclass(w.category, UserWarning)] == []
+
+
+def test_pool_threads_leave_no_py4j_connection_open(titanic):
+    """Each pool thread talks to the JVM over a py4j connection of its own;
+    none is left open once the call has returned."""
+    from py4j.clientserver import ClientServerConnection
+
+    def open_connections() -> int:
+        gc.collect()
+        return sum(
+            1 for o in gc.get_objects()
+            if isinstance(o, ClientServerConnection) and o.socket is not None
+        )
+
+    before = open_connections()
+    create_report(titanic)
+    plot_correlation(titanic, "num_0", "num_1")
+    assert open_connections() == before
 
 
 _WITHOUT_PINNED_THREADS = textwrap.dedent(

@@ -153,7 +153,7 @@ def test_entry_points_on_zero_rows(spark, call):
 #: ``plot_missing`` variants, of two univariate calls and of the
 #: correlation vector and pair on the cached 4-partition titanic frame.
 PINNED_JOBS = {
-    "create_report": (lambda df: create_report(df), 15),
+    "create_report": (lambda df: create_report(df), 13),
     "plot_missing": (lambda df: plot_missing(df), 3),
     "plot_missing_num_0": (lambda df: plot_missing(df, "num_0"), 9),
     "plot_missing_num_0_cat_0": (lambda df: plot_missing(df, "num_0", "cat_0"), 3),
