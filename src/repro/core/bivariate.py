@@ -28,7 +28,7 @@ def compute_num_num(df: DataFrame, x: str, y: str, cfg: Config) -> Intermediates
     """NN pair: scatter sample + hexbin grid + binned box plot."""
     qx, qy = compute.quote(x), compute.quote(y)
     proj = df.where(f"{compute.finite(qx)} IS NOT NULL AND {compute.finite(qy)} IS NOT NULL")
-    mm = compute.finite_minmax(proj, [x, y])
+    mm = compute.finite_minmax(proj, [x, y])[0]
     (x_mn, x_mx), (y_mn, y_mx) = mm[x], mm[y]
 
     inter = Intermediates(task=f"bivariate:{x}:{y}")

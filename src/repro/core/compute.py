@@ -15,9 +15,12 @@ implemented here:
   (one shuffle for all columns). Bin edges need min/max *before* the job
   can be built — the Spark analogue of the paper's "precompute chunk sizes
   before constructing the graph" — and are baked into the job as literals
-  (``bin_index``). ``create_report`` counts the same histograms in its
-  co-moment kernel instead (``correlation.comoment_scan``), with the same
-  edges and the same rule in numpy (``bin_of``).
+  (``bin_index``). Above the cell budget ``create_report`` counts the
+  same histograms in its co-moment scan instead
+  (``correlation.comoment_scan``), with the same edges and the same rule
+  in numpy (``bin_of``); below it the report runs that kernel on the
+  driver, and ``plot(df)`` and ``plot(df, c)`` count with ``bin_of``
+  alone (``driver_histograms``).
 * ``category_counts``    — the one value count: all categorical columns
   melted and counted by one ``unpivot → groupBy(column, value)``, cut to
   the top values per column with their exact totals in the same action.
@@ -26,6 +29,11 @@ implemented here:
   c)`` runs the same two counts with one extra "after the drop" sum.
 * ``partition_rows``     — rows per partition: the offsets that scan
   numbers rows with for the missing spectrum.
+* ``driver_values`` / ``numeric_stats`` — the phase boundary (paper §5.2):
+  below ``DRIVER_CELLS`` a task collects its finite numeric values and
+  missing flags once, and ``numeric_stats`` gives ``basic_stats_pass``'
+  numerical entries from them on the driver, its quantiles and distinct
+  counts exact where the aggregate sketches them.
 
 Each pass reduces the distributed frame to a tiny pandas object; everything
 downstream (KDE, Q-Q, box stats, insights) is driver-side pandas/numpy —
@@ -43,6 +51,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import math
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -223,7 +232,8 @@ def _numeric_aggs(quantile_probs: tuple[float, ...] | None) -> dict[str, str]:
         "max": f"max({v})",
         "nzero": f"sum(CAST(({v} = 0) AS BIGINT))",
         "nnegative": f"sum(CAST(({v} < 0) AS BIGINT))",
-        "ninfinite": f"sum(CAST((raw IN ({_INF})) AS BIGINT))",
+        # NaN is missing here too, so a column of missing values gets None
+        "ninfinite": f"sum(CAST((nanvl(raw, NULL) IN ({_INF})) AS BIGINT))",
         "sum": f"sum({v})",
         "mean": f"avg({v})",
         # Spark's central-moment aggregates update and merge centred
@@ -391,6 +401,27 @@ def histogram_edges(
 NO_HISTOGRAM = (np.zeros(0, dtype="int64"), np.zeros(0, dtype="float64"))
 
 
+def driver_histograms(
+    values: pd.DataFrame, cols: list[str], edges: Mapping[str, np.ndarray]
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The histograms of ``cols`` in the driver-side ``values`` over ``edges``.
+
+    ``(counts, edges)`` per column, ``NO_HISTOGRAM`` for one without edges:
+    the co-moment kernel's counts (``bin_of`` over the finite values) with
+    none of its products, for the calls that need only the histograms.
+    """
+    out = {}
+    for c in cols:
+        if c not in edges:
+            out[c] = NO_HISTOGRAM
+            continue
+        e, nbins = edges[c], len(edges[c]) - 1
+        v = values[c].to_numpy(dtype="float64", na_value=np.nan)
+        v = v[np.isfinite(v)]
+        out[c] = (np.bincount(bin_of(v, e[0], (e[-1] - e[0]) / nbins, nbins), minlength=nbins), e)
+    return out
+
+
 def partition_rows(df: DataFrame) -> dict[int, int]:
     """Rows per non-empty partition of ``df``: ``{partition id: rows}``, in id order.
 
@@ -403,15 +434,21 @@ def partition_rows(df: DataFrame) -> dict[int, int]:
     return dict(sorted((int(r["pid"]), int(r["count"])) for r in rows))
 
 
-def finite_minmax(df: DataFrame, cols: list[str]) -> dict[str, tuple[float | None, float | None]]:
+def finite_minmax(
+    df: DataFrame, cols: list[str], **totals: str
+) -> tuple[dict[str, tuple[float | None, float | None]], dict[str, object]]:
     """Min and max of each column's finite values, one aggregate for all ``cols``.
 
     The bin-edge metadata of the calls that run no stats pass; None when a
-    column has no finite values.
+    column has no finite values. ``totals`` maps names to SQL text of
+    further aggregates taken in the same job (the row total ``count(1)``,
+    say); the second result maps each name to its value.
     """
     aggs = [F.expr(f"{f}({finite(quote(c))})") for c in cols for f in ("min", "max")]
+    aggs += [F.expr(e) for e in totals.values()]
     row = df.agg(*aggs).collect()[0]
-    return {c: (row[2 * i], row[2 * i + 1]) for i, c in enumerate(cols)}
+    minmax = {c: (row[2 * i], row[2 * i + 1]) for i, c in enumerate(cols)}
+    return minmax, dict(zip(totals, row[2 * len(cols):]))
 
 
 def _melted_counts(
@@ -591,3 +628,112 @@ def drawn(values: pd.DataFrame, n: int, seed: int) -> pd.DataFrame:
     """
     rows = np.random.default_rng(seed).permutation(len(values))[:n]
     return values.iloc[rows].reset_index(drop=True)
+
+
+#: Cell budget of the phase boundary (paper §5.2). Below it a caller
+#: collects the finite numeric values once (``driver_values``) and runs its
+#: numeric passes on the driver: the report, ``plot(df)``, ``plot(df, c)``
+#: and ``plot_correlation(df)`` all of them (stats, quantiles, histograms,
+#: co-moments, ranks, the sample), the correlation pair its two columns.
+#: Above it they run in Spark, and Spearman ranks with the distributed
+#: window path. Ranking is the one correlation step that does not *reduce*
+#: data (every rank column is as big as its input), and each distributed
+#: global-order window re-sorts the full row — O(m²·n) movement; on small
+#: data a Python-worker job's fixed launch cost dominates besides. So the
+#: budget bounds the driver's memory, not its time: ``create_report`` on
+#: the driver path was 3–6× faster than in Spark at every measured size up
+#: to 7.2M cells, and its driver peak RSS grew about 33 MB per million
+#: cells, 100–165 MB above the Spark path's at the budget; ``plot(df)`` and
+#: ``plot(df, c)`` 2–3× faster up to 7.9M cells, 123 and 257 MB above it
+#: (DESIGN.md §4b).
+DRIVER_CELLS = 5_000_000
+
+
+def fresh_names(columns: list[str], k: int) -> list[str]:
+    """``k`` names longer than any of ``columns``, so none of them collides."""
+    return [f"{'_' * max(map(len, columns), default=0)}_{i}" for i in range(k)]
+
+
+def driver_values(
+    df: DataFrame, cols: list[str], nrows: int | None = None, indicators: list[str] = ()
+) -> pd.DataFrame | None:
+    """``cols``' finite values collected to the driver, or None above ``DRIVER_CELLS``.
+
+    The missing flag of each of ``indicators`` (``missing_conditions``)
+    follows the values as a BOOLEAN column, under a name no column has
+    (``missing_flags`` labels them); in the budget a flag's byte counts an
+    eighth of a value's cell. The rows come in partition order. ``nrows``
+    (if already known) avoids a count job.
+    """
+    if nrows is None:
+        nrows = df.count()
+    if nrows * (len(cols) + len(indicators) / 8) > DRIVER_CELLS:
+        return None
+    names = map(quote, fresh_names(df.columns, len(indicators)))
+    flags = [f"{m} AS {n}" for m, n in zip(missing_conditions(df, indicators), names)]
+    return finite_values(df, cols, *flags).toPandas()
+
+
+def missing_flags(values: pd.DataFrame, indicators: list[str]) -> pd.DataFrame:
+    """The missing flags of ``indicators`` that ``driver_values`` collected
+    after the values, labelled by their columns' names."""
+    return values.iloc[:, values.shape[1] - len(indicators):].set_axis(list(indicators), axis=1)
+
+
+def numeric_stats(
+    values: pd.DataFrame,
+    flags: pd.DataFrame,
+    nrows: int,
+    quantile_probs: tuple[float, ...] | None = None,
+) -> dict[str, dict[str, object]]:
+    """``basic_stats_pass``' numerical entries, from the driver-side values.
+
+    ``values`` holds the finite values of some columns (NaN where a value is
+    missing or ±inf) and ``flags`` the same columns' missing flags, as
+    ``driver_values`` and ``missing_flags`` give them; ``nrows`` is the
+    frame's row total. Returns ``{column: stats}`` with the stats pass's
+    keys and conventions: ``ninfinite`` is what is neither finite nor
+    missing, None when every value is missing; a statistic over no finite
+    value is None, skew and kurt of one value or a constant column NaN.
+    ``distinct`` and the quantiles are exact where the stats pass sketches
+    them: the quantile at ``p`` is ``sorted[ceil(p·n) − 1]``, the value
+    ``percentile_approx`` approximates. Mean, std, skew and kurt take two
+    passes over values centred on their least, so a constant column centres
+    to exact zeros and a large offset cancels before any power is formed.
+    """
+    out: dict[str, dict[str, object]] = {}
+    for c in values.columns:
+        v = values[c].to_numpy(dtype="float64", na_value=np.nan)
+        v = np.sort(v[~np.isnan(v)])
+        n = v.size
+        nmissing = int(flags[c].sum())
+        ninfinite = nrows - n - nmissing
+        stats: dict[str, object] = {
+            "count": n,
+            "nmissing": nmissing,
+            "distinct": int(np.count_nonzero(np.diff(v))) + 1 if n else 0,
+            **dict.fromkeys(("min", "max", "nzero", "nnegative")),
+            "ninfinite": ninfinite if n or ninfinite else None,
+            **dict.fromkeys(("sum", "mean", "std", "skew", "kurt")),
+        }
+        if n:
+            mean = v[0] + (v - v[0]).sum() / n
+            d = v - mean
+            d2 = d * d
+            m2, m3, m4 = d2.sum(), (d2 * d).sum(), (d2 * d2).sum()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                skew = np.sqrt(n) * m3 / np.sqrt(m2 * m2 * m2) if m2 else np.nan
+                kurt = n * m4 / (m2 * m2) - 3.0 if m2 else np.nan
+            stats.update(
+                min=float(v[0]), max=float(v[-1]),
+                nzero=int(np.count_nonzero(v == 0)), nnegative=int(np.count_nonzero(v < 0)),
+                sum=float(v.sum()), mean=float(mean),
+                std=float(np.sqrt(m2 / (n - 1))) if n > 1 else None,
+                skew=float(skew), kurt=float(kurt),
+            )
+        if quantile_probs:
+            stats["quantiles"] = {
+                p: float(v[max(math.ceil(p * n), 1) - 1]) if n else None for p in quantile_probs
+            }
+        out[c] = stats
+    return out

@@ -13,12 +13,12 @@ Fusion strategy:
   indicators the nullity heatmap needs, and can count histograms and the
   missing spectrum on the way, so a report gets all of them from one pass.
   The pair's regression line comes from the same moments.
-* The phase boundary (paper §5.2) — below a cell budget a whole-frame
-  caller collects the finite values once (``driver_values``) and runs the
-  same kernel on the driver (``local_comoments``): ``plot_correlation(df)``
-  and the pair for Pearson and Spearman, ``create_report`` for every
-  numeric pass. A Python-worker job's fixed launch cost is several times
-  such a collect.
+* The phase boundary (paper §5.2) — below ``compute.DRIVER_CELLS`` a
+  whole-frame caller collects the finite values once
+  (``compute.driver_values``) and runs the same kernel on the driver
+  (``local_comoments``): ``plot_correlation(df)`` and the pair for Pearson
+  and Spearman, ``create_report`` for every numeric pass. A Python-worker
+  job's fixed launch cost is several times such a collect.
 * Spearman — average ranks with tie correction, per column, then the
   same Pearson on ranks: ranked by pandas on the driver below the budget,
   else by ``ranked`` and read by the co-moment scan (``rank_scan``). The
@@ -388,9 +388,9 @@ def local_comoments(
     """``comoment_scan`` of the driver-side frame ``pdf``: the same kernel, run here.
 
     ``pdf`` holds the finite values of ``cols``, then the missing flags of
-    ``indicators``, as ``driver_values`` collects them. The kernel takes it
-    in batches of ``_DRIVER_BATCH`` rows; the spectrum numbers rows in
-    ``pdf``'s order, which is partition order, as one partition.
+    ``indicators``, as ``compute.driver_values`` collects them. The kernel
+    takes it in batches of ``_DRIVER_BATCH`` rows; the spectrum numbers rows
+    in ``pdf``'s order, which is partition order, as one partition.
     """
     cols, indicators = list(cols), list(indicators)
     bins = _kernel_bins(cols, edges)
@@ -398,7 +398,7 @@ def local_comoments(
     if spectrum_bins is not None:
         spectrum = ({0: 0}, max(len(pdf), 1), spectrum_bins, len(cols))
     kernel, merge = _comoment_kernel(len(cols) + len(indicators), bins, spectrum)
-    (row_id,) = _fresh_names(pdf.columns, 1)
+    (row_id,) = compute.fresh_names(pdf.columns, 1)
 
     def batches():
         for start in range(0, len(pdf), _DRIVER_BATCH):
@@ -434,34 +434,13 @@ def rank_scan(
     The scan reads the ranks of ``cols`` (``ranked``) under their names,
     beside the finite ``values`` under names longer than any column's.
     """
-    names = _fresh_names(df.columns, len(values))
+    names = compute.fresh_names(df.columns, len(values))
     frame = df.selectExpr(
         *map(compute.quote, cols),
         *[f"{compute.finite(compute.quote(v))} AS {n}" for v, n in zip(values, names)],
     )
     moments = comoment_scan(ranked(frame, cols), [*names, *cols])
     return moments.pearson(names, labels=values), moments.pearson(cols)
-
-
-#: Cell budget of the phase boundary (paper §5.2). Below it a whole-frame
-#: caller collects the finite numeric values once and runs its numeric
-#: passes on the driver (``driver_values``): the report and
-#: ``plot_correlation(df)`` all of them, the pair its two columns. Above
-#: it they run in Spark, and Spearman ranks with the distributed window
-#: path. Ranking is the one correlation step that does not *reduce* data
-#: (every rank column is as big as its input), and each distributed
-#: global-order window re-sorts the full row — O(m²·n) movement; on small
-#: data a Python-worker job's fixed launch cost dominates besides. So the
-#: budget bounds the driver's memory, not its time: ``create_report`` on
-#: the driver path was 3–6× faster than in Spark at every measured size up
-#: to 7.2M cells, and its driver peak RSS grew about 33 MB per million
-#: cells, 100–165 MB above the Spark path's at the budget (DESIGN.md §4b).
-_SPEARMAN_DRIVER_CELLS = 5_000_000
-
-
-def _fresh_names(columns: list[str], k: int) -> list[str]:
-    """``k`` names longer than any of ``columns``, so none of them collides."""
-    return [f"{'_' * max(map(len, columns), default=0)}_{i}" for i in range(k)]
 
 
 def spearman_matrix(df: DataFrame, cols: list[str], nrows: int | None = None) -> pd.DataFrame:
@@ -473,27 +452,8 @@ def spearman_matrix(df: DataFrame, cols: list[str], nrows: int | None = None) ->
     """
     if len(cols) == 0:
         return pd.DataFrame()
-    pdf = driver_values(df, cols, nrows)
+    pdf = compute.driver_values(df, cols, nrows)
     return rank_scan(df, cols)[1] if pdf is None else ranked_pearson(pdf, cols)
-
-
-def driver_values(
-    df: DataFrame, cols: list[str], nrows: int | None = None, indicators: list[str] = ()
-) -> pd.DataFrame | None:
-    """``cols``' finite values collected to the driver, or None above the cell budget.
-
-    The missing flag of each of ``indicators`` (``compute.missing_conditions``)
-    follows the values as a BOOLEAN column, under a name no column has; in
-    the budget a flag's byte counts an eighth of a value's cell. The rows
-    come in partition order. ``nrows`` (if already known) avoids a count job.
-    """
-    if nrows is None:
-        nrows = df.count()
-    if nrows * (len(cols) + len(indicators) / 8) > _SPEARMAN_DRIVER_CELLS:
-        return None
-    names = map(compute.quote, _fresh_names(df.columns, len(indicators)))
-    flags = [f"{m} AS {n}" for m, n in zip(compute.missing_conditions(df, indicators), names)]
-    return compute.finite_values(df, cols, *flags).toPandas()
 
 
 def ranked_pearson(pdf: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
@@ -565,7 +525,7 @@ def compute_correlation(df: DataFrame, cfg: Config) -> Intermediates:
     methods = cfg["correlation.methods"]
     inter = Intermediates(task="correlation")
     inter["columns"] = cols
-    pdf = driver_values(df, cols) if cols else pd.DataFrame()
+    pdf = compute.driver_values(df, cols) if cols else pd.DataFrame()
     if pdf is not None:  # below the cell budget: every method on the driver, over one collect
         size, seed = cfg["kendall.sample_size"], cfg["compute.seed"]
         inter.data.update(correlation_view(
@@ -614,7 +574,7 @@ def _pair_pass(
     collect of two columns. Above it, the 2×2 scan and ``rank_scan``.
     """
     nrows = df.count()
-    pdf = driver_values(df, cols, nrows)
+    pdf = compute.driver_values(df, cols, nrows)
     if pdf is None:
         return comoment_scan(df, cols), (rank_scan(df, cols)[1] if spearman else None)
     return local_comoments(pdf, cols), (ranked_pearson(pdf, cols) if spearman else None)

@@ -113,8 +113,9 @@ def compute_missing_col(df: DataFrame, col1: str, cfg: Config) -> Intermediates:
     histogram (``compute.binned_counts``) and every categorical column's
     value counts (``compute.category_counts``), each counted over all rows
     (*before*) and over the rows where ``c1`` is present (*after*) in the
-    same shuffle. The value counts run beside the stats pass, whose min/max
-    the histograms wait for.
+    same shuffle. The value counts run beside one aggregate of the row
+    total, ``c1``'s missing cells and the numeric columns' finite min/max
+    (``compute.finite_minmax``), which the histograms wait for.
     """
     types = detect_types(df)
     if col1 not in df.columns:
@@ -123,20 +124,22 @@ def compute_missing_col(df: DataFrame, col1: str, cfg: Config) -> Intermediates:
     num_cols = [c for c in others if types[c] is EDAType.NUMERICAL]
     cat_cols = [c for c in others if types[c] is EDAType.CATEGORICAL]
 
-    keep = f"{compute.missing_exprs(df, [col1])[0]} = 0"
+    missing = compute.missing_conditions(df, [col1])[0]
+    keep = f"NOT {missing}"
     with compute.in_flight(df.sparkSession) as submit:
-        # the value counts need no stats; the histograms need their min/max
+        # the value counts need nothing; the histograms need the min/max
         counts_job = submit(compute.category_counts, df, cat_cols, cfg["bar.top_n"] * 10, keep)
-        stats = compute.basic_stats_pass(df, types)
-        minmax = {c: (stats[c].get("min"), stats[c].get("max")) for c in num_cols}
+        minmax, totals = compute.finite_minmax(
+            df, num_cols, nrows="count(1)", dropped=f"count_if({missing})"
+        )
         edges = compute.histogram_edges(num_cols, minmax, cfg["hist.bins"])
         numeric = compute.binned_counts(df, edges, keep)
         categorical = counts_job.result()[0]
 
     inter = Intermediates(task=f"missing:{col1}")
     inter["col"] = col1
-    inter["nrows"] = int(stats["__table__"]["nrows"])
-    inter["n_dropped"] = int(stats[col1]["nmissing"])
+    inter["nrows"] = int(totals["nrows"])
+    inter["n_dropped"] = int(totals["dropped"])
     inter["numeric"] = _before_after(numeric)
     inter["categorical"] = _before_after(categorical)
     # Distribution-shift score per column (KS over binned histograms for
@@ -159,7 +162,8 @@ def compute_missing_pair(df: DataFrame, col1: str, col2: str, cfg: Config) -> In
     inter["cols"] = (col1, col2)
     t2 = types[col2]
     if t2 is EDAType.NUMERICAL:
-        edges = compute.histogram_edges([col2], compute.finite_minmax(df, [col2]), cfg["hist.bins"])
+        minmax = compute.finite_minmax(df, [col2])[0]
+        edges = compute.histogram_edges([col2], minmax, cfg["hist.bins"])
         frame = _before_after(compute.binned_counts(df, edges, keep)).get(
             col2, pd.DataFrame(columns=["bin", "before", "after"])
         )

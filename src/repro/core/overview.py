@@ -1,18 +1,22 @@
 """Overview analysis — ``plot(df)`` (paper Figure 2, row 1).
 
 Dataset statistics plus a histogram per numerical column and a bar chart
-per categorical column — computed with four fused passes regardless of
+per categorical column, from a fixed number of passes whatever the
 column count, each started as soon as what it needs has returned
-(``compute.in_flight``: passes 1 and 3 together, then 2 and 4 together):
+(``compute.in_flight``):
 
-1. ``basic_stats_pass``  — every per-column aggregate, one melted
-   aggregate per type class;
-2. ``histogram_pass``    — all numeric histograms, one melted shuffle
-   (bin edges taken from pass 1, the "precompute metadata" stage);
-3. ``value_counts_pass`` — all categorical bar charts, one melted shuffle
-   and one action (the top values and the exact totals are windowed over
-   the same aggregate);
-4. duplicate-row count   — one distinct-count job (dataset statistic).
+1. ``basic_stats_pass`` of the categorical and datetime columns, one
+   melted aggregate per type class, and ``value_counts_pass`` — all
+   categorical bar charts, one melted shuffle and one action — both at
+   once, beside
+2. a row count, which picks the phase (``compute.DRIVER_CELLS``) and
+   sizes
+3. the duplicate-row count — one distinct-count job (dataset statistic);
+4. the numeric columns: below the budget one collect of their finite
+   values and missing flags, whose stats (``compute.numeric_stats``) and
+   histograms (``compute.bin_of``'s) are the report's; above it the
+   numeric stats aggregate, then ``histogram_pass`` over its min/max (the
+   "precompute metadata" stage).
 """
 from __future__ import annotations
 
@@ -65,20 +69,35 @@ def compute_overview(df: DataFrame, cfg: Config) -> Intermediates:
     types = detect_types(df)
     num_cols = [c for c, t in types.items() if t is EDAType.NUMERICAL]
     cat_cols = [c for c, t in types.items() if t is EDAType.CATEGORICAL]
+    others = [c for c in types if c not in num_cols]  # categorical and datetime
 
     with compute.in_flight(df.sparkSession) as submit:
-        stats_job = submit(compute.basic_stats_pass, df, types)
+        stats_job = submit(compute.basic_stats_pass, df, types, others) if others else None
         bars_job = submit(compute.value_counts_pass, df, cat_cols) if cat_cols else None
-        # the stats give the bin edges and the row total
-        stats = stats_job.result()
-        nrows = int(stats.pop("__table__")["nrows"])
-        minmax = {c: (stats[c]["min"], stats[c]["max"]) for c in num_cols}
-        hists_job = (
-            submit(compute.histogram_pass, df, num_cols, minmax, cfg["hist.bins"])
-            if num_cols else None
-        )
-        n_dup = duplicate_rows_pass(df, nrows)
-        hists = hists_job.result() if hists_job else {}
+        # the row total sizes the duplicate count and picks the phase
+        nrows = df.count()
+        dup_job = submit(duplicate_rows_pass, df, nrows)
+        values = compute.driver_values(df, num_cols, nrows, num_cols) if num_cols else None
+        if values is not None:
+            # below the cell budget: the report's numeric stats and
+            # histograms, over one collect
+            flags = compute.missing_flags(values, num_cols)
+            stats = compute.numeric_stats(values[num_cols], flags, nrows)
+            minmax = {c: (stats[c]["min"], stats[c]["max"]) for c in num_cols}
+            edges = compute.histogram_edges(num_cols, minmax, cfg["hist.bins"])
+            hists = compute.driver_histograms(values, num_cols, edges)
+        elif num_cols:
+            # above it: the numeric stats aggregate, whose min/max give the
+            # histogram job's bin edges
+            stats = compute.basic_stats_pass(df, types, num_cols)
+            minmax = {c: (stats[c]["min"], stats[c]["max"]) for c in num_cols}
+            hists = compute.histogram_pass(df, num_cols, minmax, cfg["hist.bins"])
+        else:
+            stats, hists = {}, {}
+        if stats_job is not None:
+            stats.update(stats_job.result())
+        stats = {c: stats[c] for c in types}
+        n_dup = dup_job.result()
         bars = bars_job.result() if bars_job else {}
 
     inter = Intermediates(task="overview")

@@ -16,16 +16,17 @@ in flight together.
 
 The row total picks the phase (paper §5.2: a big-data phase, then a
 small-data pandas phase, with a heuristic boundary). Below the cell budget
-(``correlation._SPEARMAN_DRIVER_CELLS``; every Table-2 shape) the numeric
-passes run on the driver over **one collect**, in place of a Spark sample,
-a Python-worker scan and a Spearman collect; above it they run in Spark.
+(``compute.DRIVER_CELLS``; every Table-2 shape) the numeric passes run on
+the driver over **one collect**, in place of the numeric stats aggregate,
+a Spark sample, a Python-worker scan and a Spearman collect; above it they
+run in Spark.
 
 ====================================  ======================================
 pass                                  waits for
 ====================================  ======================================
-``basic_stats_pass`` (every stat and  nothing (its type classes' aggregates
-the stats+box+Q-Q quantile sketch,    run together too)
-one melted aggregate per type class)
+``basic_stats_pass`` of the           nothing (its type classes' aggregates
+categorical and datetime columns      run together too); none without such
+(one melted aggregate per class)      columns
 ``compute.partition_rows`` (rows per  nothing
 partition)
 ``value_counts_pass`` (all            nothing
@@ -37,23 +38,29 @@ count)
 ``driver_values`` (1 collect: the     ``partition_rows``: the row total
 finite numeric values and every       picks the phase
 column's missing flag)
-on the driver, over that collect:     the collect only: its min/max equal
-``local_comoments`` (the co-moment    the stats pass's, so nothing waits
-kernel: Pearson, every numeric        for the stats
-histogram, nullity correlation,
-exact missing spectrum in collect
-order), Spearman, a seeded numpy
-sample (KDE, Kendall) and the
-interactions over every row
+on the driver, over that collect:     the collect only
+``numeric_stats`` (every numeric
+stat, exact quantiles and distinct
+counts), then ``local_comoments``
+(the co-moment kernel: Pearson,
+every numeric histogram over the
+stats' min/max, nullity
+correlation, exact missing spectrum
+in collect order), Spearman, a
+seeded numpy sample (KDE, Kendall)
+and the interactions over every row
 *above the budget:*
+``basic_stats_pass`` of the numeric   ``partition_rows``: the row total
+columns (every stat and the           picks the phase
+stats+box+Q-Q quantile sketch)
 ``finite_sample`` (one seeded         ``partition_rows``: the row total
 Spark sample of the numeric columns   sizes the sampling fraction
 for KDE, Kendall and the
 interactions)
 Spearman (distributed rank +          ``partition_rows``
 co-moment scan)
-``comoment_scan`` (the same kernel    ``basic_stats_pass`` (min/max give
-as 1 Python scan)                     the bin edges) and ``partition_rows``
+``comoment_scan`` (the same kernel    the numeric stats (min/max give the
+as 1 Python scan)                     bin edges) and ``partition_rows``
                                       (the offsets number the rows): the
                                       paper's precompute-metadata stage
 Kendall and the interactions          the sample; they run on the driver
@@ -75,8 +82,7 @@ from pyspark.sql import DataFrame
 from repro.core import compute
 from repro.core.config import Config
 from repro.core.correlation import (
-    comoment_scan, correlation_view, driver_values, local_comoments, ranked_pearson,
-    spearman_matrix,
+    comoment_scan, correlation_view, local_comoments, ranked_pearson, spearman_matrix,
 )
 from repro.core.dtypes import EDAType, detect_types
 from repro.core.insights import correlation_insights, dataset_insights, univariate_insights
@@ -84,7 +90,7 @@ from repro.core.intermediates import EDAResult, Insight, Intermediates
 from repro.core.missing import missing_view
 from repro.core.overview import dataset_stats, duplicate_rows_pass
 from repro.core.render import render_report, stats_table, svg_bars, svg_line
-from repro.core.univariate import categorical_view, numerical_view, quantile_probs
+from repro.core.univariate import categorical_view, numerical_view, quantile_probs, sample_rows
 
 
 def _hexbins(
@@ -122,16 +128,6 @@ def _hexbins(
     return interactions
 
 
-def _finite_minmax(values: pd.DataFrame, cols: list[str]) -> dict[str, tuple]:
-    """Min and max of each of ``cols`` in the driver-side finite ``values``,
-    None without any: the stats pass's, exactly."""
-    out = {}
-    for c in cols:
-        mn, mx = values[c].min(), values[c].max()
-        out[c] = (None, None) if np.isnan(mn) else (float(mn), float(mx))
-    return out
-
-
 def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
     """All report intermediates: the pass graph, then the views (see module doc)."""
     types = detect_types(df)
@@ -139,25 +135,29 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
     cat_cols = [c for c, t in types.items() if t is EDAType.CATEGORICAL]
     methods = cfg["correlation.methods"]
     seed, bins, segments = cfg["compute.seed"], cfg["hist.bins"], cfg["spectrum.bins"]
-    size = max(cfg["kde.sample_size"], cfg["kendall.sample_size"])
+    size = sample_rows(cfg)
 
     # -- Spark Computation phase: the pass graph -------------------------
+    others = [c for c in types if c not in num_cols]  # categorical and datetime
+    probs = quantile_probs(cfg)
     with compute.in_flight(df.sparkSession) as submit:
         # nothing to wait for
-        stats_job = submit(compute.basic_stats_pass, df, types, quantile_probs=quantile_probs(cfg))
+        stats_job = submit(compute.basic_stats_pass, df, types, others) if others else None
         layout_job = submit(compute.partition_rows, df)
         value_counts_job = submit(compute.value_counts_pass, df, cat_cols)
         # the row total sizes the duplicate count and picks the phase
         layout = layout_job.result()
         nrows = sum(layout.values())
         duplicates_job = submit(duplicate_rows_pass, df, nrows)
-        values = driver_values(df, num_cols, nrows, df.columns)
+        values = compute.driver_values(df, num_cols, nrows, df.columns)
         if values is not None:
-            # below the cell budget: one collect, and the co-moment kernel
-            # (Pearson, histograms, nullity, missing spectrum), Spearman, the
-            # sample and the interactions run on it here while the Spark
-            # passes are in flight; its min/max equal the stats pass's
-            minmax = _finite_minmax(values, num_cols)
+            # below the cell budget: one collect, and the numeric stats, the
+            # co-moment kernel (Pearson, histograms, nullity, missing
+            # spectrum), Spearman, the sample and the interactions run on it
+            # here while the Spark passes are in flight
+            flags = compute.missing_flags(values, df.columns)
+            stats = compute.numeric_stats(values[num_cols], flags[num_cols], nrows, probs)
+            minmax = {c: (stats[c]["min"], stats[c]["max"]) for c in num_cols}
             edges = compute.histogram_edges(num_cols, minmax, bins)
             moments = local_comoments(values, num_cols, df.columns, edges, segments)
             scan = lambda: moments  # the co-moments; a Future's result above the budget
@@ -165,14 +165,15 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
             sample = compute.drawn(values, size, seed)[num_cols]
             rows = values  # the interactions bin every row
         else:
-            # above it: a seeded Spark sample, the distributed rank and one
-            # co-moment scan, whose bin edges wait for the stats pass's min/max
+            # above it: the numeric stats aggregate, a seeded Spark sample,
+            # the distributed rank and one co-moment scan, whose bin edges
+            # wait for the stats' min/max
             sample_job = submit(compute.finite_sample, df, num_cols, size, seed, nrows)
             spearman = (
                 submit(spearman_matrix, df, num_cols, nrows=nrows).result
                 if "spearman" in methods else None
             )
-            stats = stats_job.result()
+            stats = compute.basic_stats_pass(df, types, num_cols, probs) if num_cols else {}
             minmax = {c: (stats[c]["min"], stats[c]["max"]) for c in num_cols}
             edges = compute.histogram_edges(num_cols, minmax, bins)
             scan = submit(
@@ -186,8 +187,9 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
             lambda: scan().pearson(), spearman,
         )
         moments = scan()
-        stats = stats_job.result()
-        del stats["__table__"]
+        if stats_job is not None:
+            stats.update(stats_job.result())
+        stats = {c: stats[c] for c in types}
         value_counts = value_counts_job.result()
         n_dup = duplicates_job.result()
     quantiles = {c: stats[c].pop("quantiles") for c in num_cols}

@@ -38,6 +38,15 @@ def quantile_probs(cfg: Config) -> tuple[float, ...]:
     return tuple(sorted(set(compute.STATS_QUANTILES) | set(_qq_probs(cfg))))
 
 
+def sample_rows(cfg: Config) -> int:
+    """Rows of the driver path's numeric sample (``compute.drawn``).
+
+    The report draws one sample for the KDE and Kendall; ``plot(df, c)``
+    draws as many rows, so its KDE reads the report's.
+    """
+    return max(cfg["kde.sample_size"], cfg["kendall.sample_size"])
+
+
 def box_plot_stats(q: dict[float, float], whisker: float) -> dict[str, float]:
     """Box-plot geometry from the shared quantile dict (no extra pass)."""
     q1, q2, q3 = q[0.25], q[0.5], q[0.75]
@@ -118,24 +127,38 @@ def numerical_view(
 def compute_numerical(df: DataFrame, col: str, cfg: Config) -> Intermediates:
     """Intermediates for univariate analysis of a numerical column.
 
-    Three passes: the stats pass (its quantile sketch included), then the
-    histogram and a sample for the KDE together; then ``numerical_view``.
+    The row total picks the phase (``compute.DRIVER_CELLS``). Below the
+    budget one collect of the column's finite values and missing flag
+    gives the stats (``compute.numeric_stats``), the histogram (the
+    report's binning rule, ``compute.driver_histograms``) and the KDE's
+    sample (``compute.drawn``): the report's rules over the report's rows.
+    Above it the stats pass (its quantile sketch included), then the
+    histogram and a sample for the KDE together. Then ``numerical_view``.
     """
-    types = {col: EDAType.NUMERICAL}
-    stats = dict(compute.basic_stats_pass(df, types, quantile_probs=quantile_probs(cfg))[col])
+    probs, bins = quantile_probs(cfg), cfg["hist.bins"]
+    nrows = df.count()
+    values = compute.driver_values(df, [col], nrows, [col])
+    if values is not None:
+        flags = compute.missing_flags(values, [col])
+        stats = compute.numeric_stats(values[[col]], flags, nrows, probs)[col]
+        edges = compute.histogram_edges([col], {col: (stats["min"], stats["max"])}, bins)
+        hist = compute.driver_histograms(values, [col], edges)[col]
+        sample = compute.drawn(values, sample_rows(cfg), cfg["compute.seed"])[col]
+    else:
+        stats = compute.basic_stats_pass(df, {col: EDAType.NUMERICAL}, [col], probs)[col]
+        with compute.in_flight(df.sparkSession) as submit:  # both need the stats only
+            hist_job = submit(
+                compute.histogram_pass, df, [col], {col: (stats["min"], stats["max"])}, bins
+            )
+            sample = compute.sample_pass(
+                df.where(f"{compute.missing_exprs(df, [col])[0]} = 0"),
+                [col],
+                cfg["kde.sample_size"],
+                cfg["compute.seed"],
+                total_rows=int(stats["count"]),
+            )[col]
+            hist = hist_job.result()[col]
     quantiles = stats.pop("quantiles")
-    with compute.in_flight(df.sparkSession) as submit:  # both need the stats only
-        hist_job = submit(
-            compute.histogram_pass, df, [col], {col: (stats["min"], stats["max"])}, cfg["hist.bins"]
-        )
-        sample = compute.sample_pass(
-            df.where(f"{compute.missing_exprs(df, [col])[0]} = 0"),
-            [col],
-            cfg["kde.sample_size"],
-            cfg["compute.seed"],
-            total_rows=int(stats["count"]),
-        )[col]
-        hist = hist_job.result()[col]
     return numerical_view(col, stats, quantiles, hist, sample, cfg)
 
 

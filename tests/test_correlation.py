@@ -200,7 +200,7 @@ class TestRankedPath:
 def test_distributed_spearman_matches_pandas(spark, monkeypatch):
     """Above the cell budget (here 0) Spearman ranks in Spark; the answer
     is pandas' average-rank Pearson with ±inf nulled first."""
-    from repro.core import correlation
+    from repro.core import compute
 
     g = np.random.default_rng(4)
     n = 120
@@ -220,7 +220,7 @@ def test_distributed_spearman_matches_pandas(spark, monkeypatch):
     ref_pdf = df.toPandas().replace([np.inf, -np.inf], np.nan)
     want = ref_pdf.rank(method="average").corr(method="pearson")
     cols = ["a", "b", "c", "d"]
-    monkeypatch.setattr(correlation, "_SPEARMAN_DRIVER_CELLS", 0)
+    monkeypatch.setattr(compute, "DRIVER_CELLS", 0)
     got = spearman_matrix(df, cols)
     assert list(got.index) == list(got.columns) == cols
     np.testing.assert_allclose(got.to_numpy(), want.loc[cols, cols].to_numpy(), rtol=0, atol=1e-12)
@@ -230,7 +230,7 @@ def test_pair_above_the_cell_budget_matches_the_driver_path(spark, monkeypatch):
     """Above the cell budget (here 0) the pair reads the 2×2 scan and Spark's
     ranks instead of running the kernel and the ranks on its one collect;
     the answers agree."""
-    from repro.core import correlation
+    from repro.core import compute
 
     g = np.random.default_rng(6)
     n = 150
@@ -240,7 +240,7 @@ def test_pair_above_the_cell_budget_matches_the_driver_path(spark, monkeypatch):
     pdf.loc[[5, 9], "y"] = [np.inf, -np.inf]
     df = spark.createDataFrame(pdf).repartition(3)
     below = plot_correlation(df, "x", "y").intermediates
-    monkeypatch.setattr(correlation, "_SPEARMAN_DRIVER_CELLS", 0)
+    monkeypatch.setattr(compute, "DRIVER_CELLS", 0)
     above = plot_correlation(df, "x", "y").intermediates
     for method in ("pearson", "spearman", "kendall"):
         assert above[method] == pytest.approx(below[method], rel=0, abs=1e-12), method

@@ -11,7 +11,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import compute, create_report, plot_correlation
+from repro.core import compute, create_report, plot, plot_correlation
 from repro.core.dtypes import detect_types
 
 OFFSETS = (0.0, 1e6, 1e9)
@@ -51,9 +51,7 @@ def _population_moments(s: pd.Series) -> tuple[float, float]:
     return g1, g2
 
 
-def test_stats_moments_match_pandas(shifted):
-    offset, df, pdf = shifted
-    stats = compute.basic_stats_pass(df, detect_types(df))
+def _assert_moments(stats: dict, pdf: pd.DataFrame, offset: float) -> None:
     tol = _tol(offset)
     for c in pdf.columns:
         s = pdf[c].dropna()
@@ -61,6 +59,31 @@ def test_stats_moments_match_pandas(shifted):
         assert stats[c]["std"] == pytest.approx(s.std(ddof=1), rel=tol)
         assert stats[c]["skew"] == pytest.approx(g1, abs=tol)
         assert stats[c]["kurt"] == pytest.approx(g2, abs=tol)
+
+
+def test_stats_moments_match_pandas(shifted):
+    offset, df, pdf = shifted
+    _assert_moments(compute.basic_stats_pass(df, detect_types(df)), pdf, offset)
+
+
+def _report_stats(df) -> dict:
+    variables = create_report(df, PEARSON_ONLY).intermediates["variables"]
+    return {c: sub["stats"] for c, sub in variables.items()}
+
+
+#: the numeric stats of each task that shows them: below the cell budget
+#: they come from the one collect (``compute.numeric_stats``)
+TASK_STATS = {
+    "create_report": _report_stats,
+    "plot": lambda df: plot(df).intermediates["col_stats"],
+    "plot_col": lambda df: {c: plot(df, c).intermediates["stats"] for c in df.columns},
+}
+
+
+@pytest.mark.parametrize("stats", TASK_STATS.values(), ids=TASK_STATS.keys())
+def test_task_stats_moments_match_pandas(shifted, stats):
+    offset, df, pdf = shifted
+    _assert_moments(stats(df), pdf, offset)
 
 
 def _assert_pearson(got: pd.DataFrame, pdf: pd.DataFrame, offset: float) -> None:

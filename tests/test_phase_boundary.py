@@ -1,23 +1,30 @@
 """The report's phase boundary (paper §5.2).
 
 Below the cell budget ``create_report`` collects the numeric values and
-every column's missing flag once and runs the co-moment kernel, Spearman,
-the shared sample and the interactions on the driver; above it (here a
-budget of 0) they run in Spark. Both paths must give the same histograms,
-spectrum and missing counts exactly, and the same Pearson, nullity and
-Spearman to 1e-12, except the Pearson of a column near a large offset,
-held to ``test_moments``' tolerance at that offset: the kernel merges
-partial means as absolute values, so the driver's batches and the scan's
-partitions round them differently below the offset's ulp. The sample is a
-seeded numpy draw on the driver path, checked against pandas on the same
-draw.
+every column's missing flag once and runs the numeric stats, the co-moment
+kernel, Spearman, the shared sample and the interactions on the driver;
+above it (here a budget of 0) they run in Spark. Both paths must give the
+same counts, min/max, quantiles, histograms, spectrum and missing counts
+exactly, and the same Pearson, nullity and Spearman to 1e-12. The moments
+(sum, mean, std, skew, kurt) come from two passes over the collect on one
+path and from Spark's centred aggregates on the other, and agree to 1e-12
+relative; skew and kurt, which have no scale, also to 1e-12 absolute (a
+skew that is 0 in exact arithmetic reads 0 on one path and 1e-16 on the
+other). A column near a large offset gets ``test_moments``' tolerance at
+that offset for the statistics of its deviations (std, skew, kurt) and
+its Pearson: the two paths round the deviations differently below the
+offset's ulp; its sum and mean keep 1e-12. Numeric ``distinct`` is exact
+on the driver path (checked against pandas) and an HLL estimate in Spark
+(``test_compute``'s bound). The sample is a seeded numpy draw on the
+driver path, checked against pandas on the same draw. ``plot(df)`` and
+``plot(df, c)`` cross the same boundary and are held to the same rules.
 """
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core import correlation, create_report, plot_correlation, report
+from repro.core import compute, correlation, create_report, plot, plot_correlation, report
 from repro.core.config import Config
 from repro.substrate import numutils
 
@@ -66,7 +73,7 @@ CASES = {
 def _both_paths(df, monkeypatch, config=None):
     below = create_report(df, config).intermediates
     with monkeypatch.context() as m:
-        m.setattr(correlation, "_SPEARMAN_DRIVER_CELLS", 0)
+        m.setattr(compute, "DRIVER_CELLS", 0)
         above = create_report(df, config).intermediates
     return below, above
 
@@ -78,9 +85,46 @@ def _same(a, b) -> bool:
     return a == b or (a != a and b != b)
 
 
-def _assert_paths_agree(below, above):
+#: the numeric stats the two paths take with different arithmetic
+MOMENTS = ("sum", "mean", "std", "skew", "kurt")
+#: the moments without a scale, held to ``ATOL`` absolute too
+SCALE_FREE = ("skew", "kurt")
+
+
+def _moment_tol(c: str, k: str) -> tuple[float, float]:
+    """``(rtol, atol)`` of moment ``k`` of column ``c`` between the paths."""
+    if c == "far" and k == "std":
+        return _tol(FAR), 0.0
+    if c == "far" and k in SCALE_FREE:
+        return 0.0, _tol(FAR)
+    return ATOL, ATOL if k in SCALE_FREE else 0.0
+
+
+def _assert_stats_agree(c, got, want, finite: pd.Series):
+    """``got`` (driver path) against ``want`` (Spark): exact but for the
+    moments and, in a numeric column, ``distinct``, checked against pandas'
+    ``nunique`` of the column's ``finite`` values."""
+    if "mean" not in want:  # categorical or datetime: the same Spark pass
+        assert _same(got, want), c
+        return
+    assert list(got) == list(want), c
+    assert got["distinct"] == finite.nunique(), c
+    exact = [k for k in want if k not in MOMENTS and k != "distinct"]
+    assert _same({k: got[k] for k in exact}, {k: want[k] for k in exact}), c
+    for k in MOMENTS:
+        if want[k] is None:
+            assert got[k] is None, (c, k)
+        else:
+            rtol, atol = _moment_tol(c, k)
+            np.testing.assert_allclose(
+                got[k], want[k], rtol=rtol, atol=atol, equal_nan=True, err_msg=f"{c}.{k}"
+            )
+
+
+def _assert_paths_agree(df, below, above):
+    finite = df.toPandas().replace([np.inf, -np.inf], np.nan)
     for c, sub in above["variables"].items():
-        assert _same(below["variables"][c]["stats"], sub["stats"]), c
+        _assert_stats_agree(c, below["variables"][c]["stats"], sub["stats"], finite[c])
         if "hist" in sub:
             for k in ("counts", "edges"):
                 np.testing.assert_array_equal(
@@ -108,11 +152,72 @@ def _assert_paths_agree(below, above):
 @pytest.mark.parametrize("make", CASES.values(), ids=CASES.keys())
 def test_driver_path_equals_distributed_path(spark, monkeypatch, make):
     df = make(spark)
-    _assert_paths_agree(*_both_paths(df, monkeypatch))
+    _assert_paths_agree(df, *_both_paths(df, monkeypatch))
 
 
 def test_driver_path_equals_distributed_path_on_titanic(titanic, monkeypatch):
-    _assert_paths_agree(*_both_paths(titanic, monkeypatch))
+    _assert_paths_agree(titanic, *_both_paths(titanic, monkeypatch))
+
+
+def _plot_both_paths(df, monkeypatch, *args):
+    below = plot(df, *args).intermediates
+    with monkeypatch.context() as m:
+        m.setattr(compute, "DRIVER_CELLS", 0)
+        above = plot(df, *args).intermediates
+    return below, above
+
+
+def _frame(request, name):
+    return request.getfixturevalue("titanic") if name == "titanic" else _adversarial(
+        request.getfixturevalue("spark")
+    )
+
+
+@pytest.mark.parametrize("name", ["titanic", "adversarial"])
+def test_overview_driver_path_equals_distributed_path(request, monkeypatch, name):
+    """``plot(df)``: the stats, histograms and dataset statistics of both paths."""
+    df = _frame(request, name)
+    below, above = _plot_both_paths(df, monkeypatch)
+    finite = df.toPandas().replace([np.inf, -np.inf], np.nan)
+    assert list(below["col_stats"]) == list(above["col_stats"])
+    for c, want in above["col_stats"].items():
+        _assert_stats_agree(c, below["col_stats"][c], want, finite[c])
+    assert list(below["hists"]) == list(above["hists"])
+    for c, (counts, edges) in above["hists"].items():
+        np.testing.assert_array_equal(below["hists"][c][0], counts, err_msg=c)
+        np.testing.assert_array_equal(below["hists"][c][1], edges, err_msg=c)
+    assert below["dataset_stats"] == above["dataset_stats"]
+    assert below["value_counts"].keys() == above["value_counts"].keys()
+    for c, counts in above["value_counts"].items():
+        pd.testing.assert_series_equal(below["value_counts"][c], counts, check_exact=True)
+
+
+UNIVARIATE = {
+    "titanic": ["num_0", "num_2"],
+    "adversarial": ["x", "far", "ties", "const", "allnull", "nan"],
+}
+
+
+@pytest.mark.parametrize(
+    "name, col", [(n, c) for n, cols in UNIVARIATE.items() for c in cols]
+)
+def test_univariate_driver_path_equals_distributed_path(request, monkeypatch, name, col):
+    """``plot(df, c)``: stats, quantiles, histogram, Q-Q and box of both
+    paths. The KDE and the outlier estimate read each path's own sample."""
+    df = _frame(request, name)
+    below, above = _plot_both_paths(df, monkeypatch, col)
+    finite = df.select(col).toPandas()[col].replace([np.inf, -np.inf], np.nan)
+    assert below["nrows"] == above["nrows"]
+    _assert_stats_agree(col, below["stats"], above["stats"], finite)
+    for k in ("counts", "edges"):
+        np.testing.assert_array_equal(below["hist"][k], above["hist"][k], err_msg=k)
+    np.testing.assert_array_equal(below["qq"]["sample"], above["qq"]["sample"])
+    rtol, atol = _moment_tol(col, "std")
+    np.testing.assert_allclose(
+        below["qq"]["theoretical"], above["qq"]["theoretical"], rtol=rtol, atol=atol
+    )
+    box = [k for k in above["box"] if k != "n_outliers_est"]
+    assert _same({k: below["box"][k] for k in box}, {k: above["box"][k] for k in box})
 
 
 def test_below_the_budget_no_scan_and_no_sample_job(titanic, monkeypatch):
@@ -125,11 +230,48 @@ def test_below_the_budget_no_scan_and_no_sample_job(titanic, monkeypatch):
     create_report(titanic)
 
 
+def test_below_the_budget_no_numeric_stats_aggregate(titanic, monkeypatch):
+    """The report, ``plot(df)`` and ``plot(df, c)`` take their numeric stats,
+    quantiles and histograms from the one collect: no melted numeric
+    aggregate, histogram job or Spark sample runs."""
+    melted = compute._melted_stats
+
+    def categorical_only(df, cols, cast, aggs):
+        assert cast != "double", f"a numeric stats aggregate ran over {cols}"
+        return melted(df, cols, cast, aggs)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a Spark pass the driver path replaces ran")
+
+    monkeypatch.setattr(compute, "_melted_stats", categorical_only)
+    for name in ("histogram_pass", "binned_counts", "sample_pass"):
+        monkeypatch.setattr(compute, name, fail)
+    create_report(titanic)
+    plot(titanic)
+    plot(titanic, "num_0")
+
+
+def test_overview_numeric_stats_and_histograms_equal_the_reports(titanic):
+    """Below the budget ``plot(df)`` reads the report's rules over the same
+    values: its numeric stats and histograms equal the report's exactly."""
+    got = plot(titanic).intermediates
+    want = create_report(titanic).intermediates["variables"]
+    numeric = [c for c, sub in want.items() if sub["type"] == "numerical"]
+    assert numeric
+    for c in numeric:
+        report = {k: v for k, v in want[c]["stats"].items() if k != "quantiles"}
+        assert _same(got["col_stats"][c], report), c
+        counts, edges = got["hists"][c]
+        np.testing.assert_array_equal(counts, want[c]["hist"]["counts"], err_msg=c)
+        np.testing.assert_array_equal(edges, want[c]["hist"]["edges"], err_msg=c)
+
+
 def test_above_the_budget_the_sample_and_scan_jobs_run(spark, titanic, monkeypatch):
-    """Budget 0: the Spark sample, the co-moment scan and the distributed
-    Spearman rank replace the one collect: 16 jobs where
-    ``test_report_composition.PINNED_JOBS`` has 13 below the budget."""
-    monkeypatch.setattr(correlation, "_SPEARMAN_DRIVER_CELLS", 0)
+    """Budget 0: the numeric stats aggregate, the Spark sample, the
+    co-moment scan and the distributed Spearman rank replace the one
+    collect: 16 jobs where ``test_report_composition.PINNED_JOBS`` has 11
+    below the budget."""
+    monkeypatch.setattr(compute, "DRIVER_CELLS", 0)
     assert _jobs(spark, lambda: create_report(titanic)) == 16
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import create_report, plot, plot_correlation, plot_missing
 from repro.core.config import Config
+from repro.core.dtypes import EDAType, detect_types
 from repro.core.intermediates import EDAResult
 from repro.core.missing import spectrum_pass
 
@@ -149,15 +150,23 @@ def test_entry_points_on_zero_rows(spark, call):
         assert res.intermediates["dataset_stats"]["nrows"] == 0
 
 
-#: Spark jobs of the report's shared pass plan, of the three
-#: ``plot_missing`` variants, of two univariate calls and of the
-#: correlation vector and pair on the cached 4-partition titanic frame.
+def _numeric(df):
+    """``df``'s numerical columns only."""
+    return df.select(*[c for c, t in detect_types(df).items() if t is EDAType.NUMERICAL])
+
+
+#: Spark jobs of the report's shared pass plan (on the frame and on its
+#: numerical columns alone, where no stats job runs), of the three
+#: ``plot_missing`` variants, of the overview and two univariate calls and
+#: of the correlation vector and pair on the cached 4-partition titanic frame.
 PINNED_JOBS = {
-    "create_report": (lambda df: create_report(df), 13),
+    "create_report": (lambda df: create_report(df), 11),
+    "create_report_numeric": (lambda df: create_report(_numeric(df)), 6),
     "plot_missing": (lambda df: plot_missing(df), 3),
-    "plot_missing_num_0": (lambda df: plot_missing(df, "num_0"), 9),
+    "plot_missing_num_0": (lambda df: plot_missing(df, "num_0"), 7),
     "plot_missing_num_0_cat_0": (lambda df: plot_missing(df, "num_0", "cat_0"), 3),
-    "plot_num_0": (lambda df: plot(df, "num_0"), 5),
+    "plot": (lambda df: plot(df), 11),
+    "plot_num_0": (lambda df: plot(df, "num_0"), 3),
     "plot_cat_0": (lambda df: plot(df, "cat_0"), 10),
     "plot_correlation_num_0": (lambda df: plot_correlation(df, "num_0"), 5),
     "plot_correlation_num_0_num_1": (lambda df: plot_correlation(df, "num_0", "num_1"), 9),

@@ -78,9 +78,7 @@ def test_report_job_count_independent_of_width_above_the_budget(
 ):
     """The same at a cell budget of 0, where the report runs its numeric
     passes in Spark instead of on the driver."""
-    from repro.core import correlation
-
-    monkeypatch.setattr(correlation, "_SPEARMAN_DRIVER_CELLS", 0)
+    monkeypatch.setattr(compute, "DRIVER_CELLS", 0)
     counts = [_jobs(spark, lambda: create_report(df)) for df in narrow_and_wide]
     assert counts[0] > 0
     assert counts[0] == counts[1]
