@@ -9,7 +9,14 @@ Type-pair mapping rules:
 * CC → nested bar chart, stacked bar chart, heat map — all views of one
   contingency-table groupBy.
 
-Every variant is one or two fused Spark jobs plus driver-side shaping.
+NN and NC pick the phase (paper §5.2) from one row count, of the rows
+where both values are present. Below the cell budget
+(``compute.DRIVER_CELLS``) they collect those rows once
+(``compute.driver_values``) and compute every view on the driver in
+numpy, their box quartiles exact (``compute.exact_quantiles``); above it
+NN runs an aggregate then three Spark jobs (sample, hexbin, box) and NC
+three fused ``groupBy`` jobs. CC is one contingency ``groupBy`` at any
+size, shaped on the driver.
 """
 from __future__ import annotations
 
@@ -25,10 +32,20 @@ from repro.core.intermediates import Intermediates
 
 
 def compute_num_num(df: DataFrame, x: str, y: str, cfg: Config) -> Intermediates:
-    """NN pair: scatter sample + hexbin grid + binned box plot."""
+    """NN pair: scatter sample + hexbin grid + binned box plot.
+
+    One aggregate over the rows where both values are finite gives their
+    min/max (the bin edges) and their count, which picks the phase. Below
+    the cell budget one collect of those pairs gives the three views on the
+    driver: the scatter (``compute.scatter_points``), the hexbin
+    (``compute.hexbins``) and the box per x-bin with exact quartiles
+    (``compute.group_boxes``). Above it a seeded Spark sample sized by that
+    count, the hexbin ``groupBy`` and the binned box ``groupBy`` with its
+    quantile sketch.
+    """
     qx, qy = compute.quote(x), compute.quote(y)
     proj = df.where(f"{compute.finite(qx)} IS NOT NULL AND {compute.finite(qy)} IS NOT NULL")
-    mm = compute.finite_minmax(proj, [x, y])[0]
+    mm, totals = compute.finite_minmax(proj, [x, y], nrows="count(1)")
     (x_mn, x_mx), (y_mn, y_mx) = mm[x], mm[y]
 
     inter = Intermediates(task=f"bivariate:{x}:{y}")
@@ -40,63 +57,92 @@ def compute_num_num(df: DataFrame, x: str, y: str, cfg: Config) -> Intermediates
         inter["binned_box"] = pd.DataFrame()
         return inter
 
-    sample = compute.sample_pass(
-        proj, [x, y], cfg["scatter.sample_size"], cfg["compute.seed"]
-    )
-    inter["scatter"] = sample
-
-    gs = cfg["hexbin.gridsize"]
-    xv, yv = f"CAST({qx} AS DOUBLE)", f"CAST({qy} AS DOUBLE)"
-    hexbin = (
-        proj.selectExpr(
-            f"{compute.bin_index(xv, x_mn, x_mx, gs)} AS xbin",
-            f"{compute.bin_index(yv, y_mn, y_mx, gs)} AS ybin",
+    gs, nb = cfg["hexbin.gridsize"], cfg["boxnum.bins"]
+    size, seed = cfg["scatter.sample_size"], cfg["compute.seed"]
+    pairs = compute.driver_values(proj, list(dict.fromkeys((x, y))), totals["nrows"])  # x may be y
+    if pairs is not None:  # below the cell budget: the three views from the one collect
+        inter["scatter"] = compute.scatter_points(pairs[[x, y]], size, seed)
+        hexbin = compute.hexbins(pairs, [x, y], mm, gs)[(x, y)]
+        xbin = compute.bin_of(pairs[x].to_numpy("float64"), x_mn, (x_mx - x_mn) / nb, nb)
+        box = compute.group_boxes(xbin, pairs[y].to_numpy("float64")).rename(columns={"key": "xbin"})
+    else:
+        sample = compute.sample_pass(proj, [x, y], size, seed, totals["nrows"])
+        inter["scatter"] = compute.point_order(sample)
+        xv, yv = f"CAST({qx} AS DOUBLE)", f"CAST({qy} AS DOUBLE)"
+        hexbin = (
+            proj.selectExpr(
+                f"{compute.bin_index(xv, x_mn, x_mx, gs)} AS xbin",
+                f"{compute.bin_index(yv, y_mn, y_mx, gs)} AS ybin",
+            )
+            .groupBy("xbin", "ybin")
+            .count()
+            .toPandas()
         )
-        .groupBy("xbin", "ybin")
-        .count()
-        .toPandas()
-    )
+        box = (
+            proj.selectExpr(f"{compute.bin_index(xv, x_mn, x_mx, nb)} AS xbin", f"{yv} AS y")
+            .groupBy("xbin")
+            .agg(*_box_aggs())
+            .orderBy("xbin")
+            .toPandas()
+        )
+        if not box.empty:
+            box = _quartile_columns(box)
     hexbin.attrs["x_edges"] = compute.bin_edges(x_mn, x_mx, gs)
     hexbin.attrs["y_edges"] = compute.bin_edges(y_mn, y_mx, gs)
     inter["hexbin"] = hexbin
-
-    nb = cfg["boxnum.bins"]
-    box = (
-        proj.selectExpr(f"{compute.bin_index(xv, x_mn, x_mx, nb)} AS xbin", f"{yv} AS y")
-        .groupBy("xbin")
-        .agg(
-            F.percentile_approx("y", [0.25, 0.5, 0.75]).alias("q"),
-            F.min("y").alias("min"),
-            F.max("y").alias("max"),
-            F.count("y").alias("count"),
-        )
-        .orderBy("xbin")
-        .toPandas()
-    )
-    if not box.empty:
-        q = np.vstack(box["q"].to_numpy())
-        box["q1"], box["median"], box["q3"] = q[:, 0], q[:, 1], q[:, 2]
-        box = box.drop(columns=["q"])
     box.attrs["x_edges"] = compute.bin_edges(x_mn, x_mx, nb)
     inter["binned_box"] = box
     return inter
 
 
+def _box_aggs() -> list:
+    """The Spark path's box aggregates of ``y``: its quartile sketch ``q``,
+    then ``min``, ``max`` and ``count``."""
+    return [
+        F.percentile_approx("y", list(compute.QUARTILES)).alias("q"),
+        F.min("y").alias("min"),
+        F.max("y").alias("max"),
+        F.count("y").alias("count"),
+    ]
+
+
+def _quartile_columns(box: pd.DataFrame) -> pd.DataFrame:
+    """``box`` with its sketch ``q`` split into ``q1``, ``median`` and ``q3``."""
+    q = np.vstack(box["q"].to_numpy())
+    box["q1"], box["median"], box["q3"] = q[:, 0], q[:, 1], q[:, 2]
+    return box.drop(columns=["q"])
+
+
 def compute_num_cat(df: DataFrame, num: str, cat: str, cfg: Config) -> Intermediates:
     """NC pair: per-category box plot + per-category histogram lines.
 
-    The top ``line.ngroups`` categories (by frequency) are analyzed; the
-    category ranking, box stats, and line histograms take three fused jobs.
+    The top ``line.ngroups`` categories (by frequency, then value) are
+    analyzed over the rows where both values are present. One aggregate
+    of their count and of the categories' bytes picks the phase. Below the
+    cell budget one collect of the category (as a string) and the finite
+    value gives the ranking, the box per group with exact quartiles
+    (``compute.group_boxes``) and the lines on the driver. Above it the
+    ranking, the box stats and the lines take three fused jobs.
     """
     proj = df.selectExpr(
         f"CAST({compute.quote(cat)} AS STRING) AS g", f"{compute.finite(compute.quote(num))} AS y"
     ).where("g IS NOT NULL AND y IS NOT NULL")
+    nrows, nbytes = proj.agg(F.expr("count(1)"), F.expr("sum(octet_length(g))")).collect()[0]
+    rows = compute.driver_values(proj, ["y"], nrows, labels={"g": nbytes or 0})
 
-    ngroups = cfg["line.ngroups"]
-    top_pdf = (
-        proj.groupBy("g").count().orderBy(F.desc("count"), F.asc("g")).limit(ngroups).toPandas()
-    )
-    top = top_pdf["g"].tolist()
+    ngroups, bins = cfg["line.ngroups"], cfg["hist.bins"]
+    if rows is not None:  # below the cell budget: everything from the one collect
+        code, values = pd.factorize(rows["g"].to_numpy(object))
+        counts = np.bincount(code, minlength=values.size)
+        by_value = np.empty(values.size, dtype="int64")
+        by_value[np.argsort(values)] = np.arange(values.size)  # code point order, Spark's
+        ranked = np.lexsort((by_value, -counts))[:ngroups]
+        top = values[ranked].tolist()
+    else:
+        top_pdf = (
+            proj.groupBy("g").count().orderBy(F.desc("count"), F.asc("g")).limit(ngroups).toPandas()
+        )
+        top = top_pdf["g"].tolist()
     inter = Intermediates(task=f"bivariate:{num}:{cat}")
     inter["cols"] = (num, cat)
     inter["kind"] = "NC"
@@ -106,39 +152,39 @@ def compute_num_cat(df: DataFrame, num: str, cat: str, cfg: Config) -> Intermedi
         inter["lines"] = {}
         return inter
 
-    sub = proj.where(F.col("g").isin(top))
-    box = (
-        sub.groupBy("g")
-        .agg(
-            F.percentile_approx("y", [0.25, 0.5, 0.75]).alias("q"),
-            F.min("y").alias("min"),
-            F.max("y").alias("max"),
-            F.count("y").alias("count"),
-        )
-        .toPandas()
-    )
-    q = np.vstack(box["q"].to_numpy())
-    box["q1"], box["median"], box["q3"] = q[:, 0], q[:, 1], q[:, 2]
-    box = box.drop(columns=["q"]).set_index("g").loc[top].reset_index()
+    if rows is not None:
+        place = np.full(values.size, -1)
+        place[ranked] = np.arange(ranked.size)  # a top value's position in ``top``
+        group = place[code]
+        kept = group >= 0
+        group, y = group[kept], rows["y"].to_numpy("float64")[kept]
+        box = compute.group_boxes(group, y)
+        box.insert(0, "g", np.array(top, dtype=object)[box.pop("key").to_numpy()])
+    else:
+        sub = proj.where(F.col("g").isin(top))
+        box = _quartile_columns(sub.groupBy("g").agg(*_box_aggs()).toPandas())
+        box = box.set_index("g").loc[top].reset_index()
     inter["cat_box"] = box
 
     y_mn = float(box["min"].min())
     y_mx = float(box["max"].max())
-    bins = cfg["hist.bins"]
     edges = compute.bin_edges(y_mn, y_mx, bins)
-    counts = (
-        sub.selectExpr("g", f"{compute.bin_index('y', y_mn, y_mx, bins)} AS bin")
-        .groupBy("g", "bin")
-        .count()
-        .toPandas()
-    )
-    lines: dict[str, np.ndarray] = {}
-    for g in top:
-        arr = np.zeros(len(edges) - 1, dtype="int64")
-        sel = counts[counts["g"] == g]
-        arr[sel["bin"].to_numpy(dtype="int64")] = sel["count"].to_numpy(dtype="int64")
-        lines[g] = arr
-    inter["lines"] = lines
+    nbins = len(edges) - 1
+    if rows is not None:
+        ybin = compute.bin_of(y, y_mn, (y_mx - y_mn) / bins, bins)
+        grid = np.bincount(group * nbins + ybin, minlength=len(top) * nbins).reshape(-1, nbins)
+    else:
+        counts = (
+            sub.selectExpr("g", f"{compute.bin_index('y', y_mn, y_mx, bins)} AS bin")
+            .groupBy("g", "bin")
+            .count()
+            .toPandas()
+        )
+        grid = np.zeros((len(top), nbins), dtype="int64")
+        for line, g in zip(grid, top):
+            sel = counts[counts["g"] == g]
+            line[sel["bin"].to_numpy(dtype="int64")] = sel["count"].to_numpy(dtype="int64")
+    inter["lines"] = dict(zip(top, grid))
     inter["line_edges"] = edges
     return inter
 

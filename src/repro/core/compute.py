@@ -33,7 +33,12 @@ implemented here:
   below ``DRIVER_CELLS`` a task collects its finite numeric values and
   missing flags once, and ``numeric_stats`` gives ``basic_stats_pass``'
   numerical entries from them on the driver, its quantiles and distinct
-  counts exact where the aggregate sketches them.
+  counts exact where the aggregate sketches them (``exact_quantiles``, the
+  one exact-quantile rule). The other passes have driver twins over the
+  same collect: ``driver_histograms`` and ``driver_binned_counts`` count
+  ``binned_counts``' bins, ``hexbins`` the pair grids, ``group_boxes`` the
+  box plots' ``groupBy`` and ``drawn`` / ``scatter_points`` draw the
+  samples (``point_order`` orders a scatter on both paths).
 
 Each pass reduces the distributed frame to a tiny pandas object; everything
 downstream (KDE, Q-Q, box stats, insights) is driver-side pandas/numpy —
@@ -70,6 +75,8 @@ from repro.core.dtypes import EDAType
 #: (paper §4.2: "the quantiles are computed once and distributed to each
 #: visualization").
 STATS_QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
+#: the quartiles of the bivariate and missing-value box plots
+QUARTILES = (0.25, 0.5, 0.75)
 
 _INF = "CAST('Infinity' AS DOUBLE), CAST('-Infinity' AS DOUBLE)"
 
@@ -325,11 +332,14 @@ def basic_stats_pass(
     for col in cols:
         stats = rows.get(col, empty[col])
         if types[col] is EDAType.NUMERICAL:
-            if stats["count"]:
-                # one value or a constant column: no skew/kurtosis to take
-                for k in ("skew", "kurt"):
-                    if stats[k] is None:
-                        stats[k] = float("nan")
+            if stats["count"] and stats["min"] == stats["max"]:
+                # one value or a constant column: its value is the mean, and
+                # there is no spread, skew or kurtosis. Spark's merged
+                # streaming moments can leave a residue here (999 rows of 0.1
+                # in 3 partitions read std 6e-18, skew 0 and kurt -1.5)
+                stats.update(mean=stats["min"], skew=float("nan"), kurt=float("nan"))
+                if stats["count"] > 1:
+                    stats["std"] = 0.0
             if quantile_probs:
                 sketch = stats["quantiles"] or [None] * len(quantile_probs)
                 stats["quantiles"] = dict(zip(quantile_probs, sketch))
@@ -415,10 +425,69 @@ def driver_histograms(
         if c not in edges:
             out[c] = NO_HISTOGRAM
             continue
-        e, nbins = edges[c], len(edges[c]) - 1
-        v = values[c].to_numpy(dtype="float64", na_value=np.nan)
-        v = v[np.isfinite(v)]
-        out[c] = (np.bincount(bin_of(v, e[0], (e[-1] - e[0]) / nbins, nbins), minlength=nbins), e)
+        bins, _ = _finite_bins(values[c], edges[c])
+        out[c] = (np.bincount(bins, minlength=len(edges[c]) - 1), edges[c])
+    return out
+
+
+def _finite_bins(column: pd.Series, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``bin_of`` of the finite values of ``column`` over the edges ``e``,
+    and the mask of those values in ``column``."""
+    nbins = len(e) - 1
+    v = column.to_numpy(dtype="float64", na_value=np.nan)
+    ok = np.isfinite(v)
+    return bin_of(v[ok], e[0], (e[-1] - e[0]) / nbins, nbins), ok
+
+
+def hexbins(
+    rows: pd.DataFrame,
+    cols: list[str],
+    minmax: Mapping[str, tuple[float | None, float | None]],
+    gs: int,
+) -> dict[tuple[str, str], pd.DataFrame]:
+    """A hexbin grid per pair of ``cols`` over the finite pairs of ``rows``.
+
+    Each column is binned by ``bin_of`` into ``gs`` bins over its
+    ``minmax``, the histograms' rule over the same min/max, and each pair
+    counted by one ``np.bincount``. A grid is a frame of the non-empty
+    cells, ``xbin``, ``ybin`` and ``count``, in cell order.
+    """
+    cells = gs * gs
+    # per column, x's cell offset and y's bin; a value that is not finite
+    # maps past the grid, so every pair holding it falls outside it too
+    xcell, ybin = {}, {}
+    for c in cols:
+        v = rows[c].to_numpy(dtype="float64", na_value=np.nan)
+        ok = np.isfinite(v)
+        b = np.full(v.size, cells)
+        if ok.any():
+            mn, mx = minmax[c]
+            b[ok] = bin_of(v[ok], mn, (mx - mn) / gs, gs)
+        xcell[c], ybin[c] = np.where(ok, b * gs, cells), b
+    grids: dict[tuple[str, str], pd.DataFrame] = {}
+    for i, a in enumerate(cols):
+        for b in cols[i + 1:]:
+            flat = np.bincount(xcell[a] + ybin[b], minlength=cells)[:cells]
+            nz = np.flatnonzero(flat)
+            grids[(a, b)] = pd.DataFrame({"xbin": nz // gs, "ybin": nz % gs, "count": flat[nz]})
+    return grids
+
+
+def driver_binned_counts(
+    values: pd.DataFrame, edges: Mapping[str, np.ndarray], keep: np.ndarray | None = None
+) -> dict[str, pd.DataFrame]:
+    """``binned_counts`` of the driver-side ``values``: the same frames, each
+    column binned as ``driver_histograms`` bins it. ``keep`` is a boolean
+    array over the rows of ``values``, true on the rows that survive a
+    drop; with it each frame also has ``after``, the counts over those rows."""
+    out = {}
+    for c, e in edges.items():
+        bins, ok = _finite_bins(values[c], e)
+        frame = {"bin": np.arange(len(e) - 1), "count": np.bincount(bins, minlength=len(e) - 1)}
+        if keep is not None:
+            frame["after"] = np.bincount(bins[keep[ok]], minlength=len(e) - 1)
+        out[c] = pd.DataFrame(frame)
+        out[c].attrs["edges"] = e
     return out
 
 
@@ -630,11 +699,28 @@ def drawn(values: pd.DataFrame, n: int, seed: int) -> pd.DataFrame:
     return values.iloc[rows].reset_index(drop=True)
 
 
+def scatter_points(values: pd.DataFrame, n: int, seed: int) -> pd.DataFrame:
+    """A scatter plot's points: the rows of ``values`` with no missing value,
+    all of them when they are at most ``n`` (as ``sample_pass`` returns
+    them), else ``drawn`` from them; in ``point_order``."""
+    pairs = values.dropna().reset_index(drop=True)
+    return point_order(pairs if len(pairs) <= n else drawn(pairs, n, seed))
+
+
+def point_order(points: pd.DataFrame) -> pd.DataFrame:
+    """``points`` sorted by their values, first column first: a scatter's
+    one order, whatever order the scan that made it gave its rows."""
+    keys = [points.iloc[:, i].to_numpy("float64") for i in range(points.shape[1])]
+    return points.iloc[np.lexsort(keys[::-1])].reset_index(drop=True)
+
+
 #: Cell budget of the phase boundary (paper §5.2). Below it a caller
 #: collects the finite numeric values once (``driver_values``) and runs its
 #: numeric passes on the driver: the report, ``plot(df)``, ``plot(df, c)``
 #: and ``plot_correlation(df)`` all of them (stats, quantiles, histograms,
-#: co-moments, ranks, the sample), the correlation pair its two columns.
+#: co-moments, ranks, the sample); the pair tasks (``plot(df, x, y)``,
+#: ``plot_missing(df, c1[, c2])`` and the correlation pair) theirs too
+#: (hexbins, box plots, before/after histograms, samples).
 #: Above it they run in Spark, and Spearman ranks with the distributed
 #: window path. Ranking is the one correlation step that does not *reduce*
 #: data (every rank column is as big as its input), and each distributed
@@ -644,9 +730,19 @@ def drawn(values: pd.DataFrame, n: int, seed: int) -> pd.DataFrame:
 #: the driver path was 3–6× faster than in Spark at every measured size up
 #: to 7.2M cells, and its driver peak RSS grew about 33 MB per million
 #: cells, 100–165 MB above the Spark path's at the budget; ``plot(df)`` and
-#: ``plot(df, c)`` 2–3× faster up to 7.9M cells, 123 and 257 MB above it
-#: (DESIGN.md §4b).
+#: ``plot(df, c)`` 2–3× faster up to 7.9M cells, 123 and 257 MB above it;
+#: the pair tasks 1.1–4.7× faster at 2.4M and 4.8M cells, 180–210 MB above
+#: it at the budget (DESIGN.md §4b).
 DRIVER_CELLS = 5_000_000
+
+#: Cells a collected label (a string) costs beside one per 8 of its bytes.
+#: Collecting 1M rows of two doubles raised the driver's peak RSS by 47 B a
+#: row, 24 B a cell; a double and a distinct label of 20 / 100 bytes by
+#: 234 / 395 B a row (a Python string object each, and the Arrow buffers
+#: they are built from). At 24 B a cell, the double, 8 cells and a cell per
+#: 8 bytes give 276 / 516 B. A label repeated across rows shares one string
+#: object (49 B a row beside a double), so for a category the budget errs low.
+LABEL_CELLS = 8
 
 
 def fresh_names(columns: list[str], k: int) -> list[str]:
@@ -655,23 +751,41 @@ def fresh_names(columns: list[str], k: int) -> list[str]:
 
 
 def driver_values(
-    df: DataFrame, cols: list[str], nrows: int | None = None, indicators: list[str] = ()
+    df: DataFrame,
+    cols: list[str],
+    nrows: int | None = None,
+    indicators: list[str] = (),
+    labels: Mapping[str, int] = {},
 ) -> pd.DataFrame | None:
     """``cols``' finite values collected to the driver, or None above ``DRIVER_CELLS``.
 
-    The missing flag of each of ``indicators`` (``missing_conditions``)
-    follows the values as a BOOLEAN column, under a name no column has
-    (``missing_flags`` labels them); in the budget a flag's byte counts an
-    eighth of a value's cell. The rows come in partition order. ``nrows``
-    (if already known) avoids a count job.
+    The columns of ``labels`` follow the values as strings (``CAST AS
+    STRING``, null kept); ``labels`` maps each to the UTF-8 bytes of its
+    values (``sum(octet_length(...))``), and in the budget a label costs
+    ``LABEL_CELLS`` plus a cell per 8 of its bytes. The missing flag of
+    each of ``indicators`` (``missing_conditions``) comes last, as a
+    BOOLEAN column under a name no column has (``missing_flags`` labels
+    them); in the budget a flag's byte counts an eighth of a value's cell.
+    The rows come in partition order. ``nrows`` (if already known) avoids a
+    count job.
     """
     if nrows is None:
         nrows = df.count()
-    if nrows * (len(cols) + len(indicators) / 8) > DRIVER_CELLS:
+    cells = nrows * (len(cols) + len(labels) * LABEL_CELLS + len(indicators) / 8)
+    if cells + sum(labels.values()) / 8 > DRIVER_CELLS:
         return None
+    strings = [f"CAST({quote(c)} AS STRING) AS {quote(c)}" for c in labels]
     names = map(quote, fresh_names(df.columns, len(indicators)))
     flags = [f"{m} AS {n}" for m, n in zip(missing_conditions(df, indicators), names)]
-    return finite_values(df, cols, *flags).toPandas()
+    return finite_values(df, cols, *strings, *flags).toPandas()
+
+
+def driver_minmax(values: pd.DataFrame) -> dict[str, tuple[float | None, float | None]]:
+    """``finite_minmax`` of the driver-side finite ``values``, per column."""
+    return {
+        c: (float(v.min()), float(v.max())) if v.notna().any() else (None, None)
+        for c, v in values.items()
+    }
 
 
 def missing_flags(values: pd.DataFrame, indicators: list[str]) -> pd.DataFrame:
@@ -732,8 +846,39 @@ def numeric_stats(
                 skew=float(skew), kurt=float(kurt),
             )
         if quantile_probs:
-            stats["quantiles"] = {
-                p: float(v[max(math.ceil(p * n), 1) - 1]) if n else None for p in quantile_probs
-            }
+            stats["quantiles"] = dict(zip(quantile_probs, exact_quantiles(v, quantile_probs)))
         out[c] = stats
     return out
+
+
+def exact_quantiles(v: np.ndarray, probs: tuple[float, ...]) -> list[float | None]:
+    """The quantile at each of ``probs`` of the sorted finite values ``v``.
+
+    The quantile at ``p`` is ``v[ceil(p·n) − 1]``: the least value with at
+    least a share ``p`` of the values at or below it, the value
+    ``percentile_approx`` approximates. None for each when ``v`` is empty.
+    Every exact quantile (the stats table's and the box plots') is this one.
+    """
+    n = v.size
+    return [float(v[max(math.ceil(p * n), 1) - 1]) if n else None for p in probs]
+
+
+def group_boxes(keys: np.ndarray, y: np.ndarray) -> pd.DataFrame:
+    """Box statistics of the finite values ``y`` grouped by the non-negative integer ``keys``.
+
+    One row per key that has values, in key order: ``key``, ``min``,
+    ``max``, ``count`` (int64) and the ``exact_quantiles`` at
+    ``QUARTILES`` as ``q1``, ``median`` and ``q3``. The driver-side
+    ``groupBy(key)`` of ``min``, ``max``, ``count`` and ``percentile_approx``.
+    Each group is selected by a mask and sorted alone: the keys are few
+    (bins or top groups), and on 2.4M rows in 10 bins that took 0.12 s
+    where one ``np.lexsort`` of every row by key and value took 0.92 s.
+    """
+    boxes = []
+    for k in np.flatnonzero(np.bincount(keys)) if keys.size else ():
+        v = np.sort(y[keys == k])
+        boxes.append((k, v[0], v[-1], v.size, *exact_quantiles(v, QUARTILES)))
+    names = ["key", "min", "max", "count", "q1", "median", "q3"]
+    return pd.DataFrame(boxes, columns=names).astype(
+        {c: "int64" if c in ("key", "count") else "float64" for c in names}
+    )

@@ -14,10 +14,10 @@ Fusion strategy:
   missing spectrum on the way, so a report gets all of them from one pass.
   The pair's regression line comes from the same moments.
 * The phase boundary (paper §5.2) — below ``compute.DRIVER_CELLS`` a
-  whole-frame caller collects the finite values once
-  (``compute.driver_values``) and runs the same kernel on the driver
-  (``local_comoments``): ``plot_correlation(df)`` and the pair for Pearson
-  and Spearman, ``create_report`` for every numeric pass. A Python-worker
+  caller collects the finite values once (``compute.driver_values``) and
+  runs the same kernel on the driver (``local_comoments``):
+  ``plot_correlation(df)`` and the pair for every method (the pair's
+  scatter too), ``create_report`` for every numeric pass. A Python-worker
   job's fixed launch cost is several times such a collect.
 * Spearman — average ranks with tie correction, per column, then the
   same Pearson on ranks: ranked by pandas on the driver below the budget,
@@ -26,7 +26,8 @@ Fusion strategy:
   over their own non-nulls; under missing data this approximates pandas'
   per-pair re-ranking (documented in DESIGN.md).
 * Kendall — exact tau-b on a seeded, size-capped sample (a numpy draw
-  from the collect below the budget) via the ``substrate.numutils``
+  from the collect below the budget, ``compute.drawn``; a Spark sample
+  above it) via the ``substrate.numutils``
   kernel (scipy-free). Precomputed condensed sign
   arrays make the m×m matrix O(m·k² + m²·pairs) instead of O(m²·k²).
 
@@ -510,11 +511,14 @@ def correlation_view(
     return {m: matrix() for m, matrix in matrices.items() if m in methods}
 
 
-def _kendall_sample(submit: Callable, df: DataFrame, cols: list[str], cfg: Config) -> Frame | None:
-    """Submit Kendall's sample of ``cols`` when Kendall is configured: its ``result``, else None."""
+def _kendall_sample(
+    submit: Callable, df: DataFrame, cols: list[str], cfg: Config, nrows: int | None = None
+) -> Frame | None:
+    """Submit Kendall's sample of ``cols`` when Kendall is configured: its
+    ``result``, else None. ``nrows`` (if already known) avoids a count job."""
     if "kendall" in cfg["correlation.methods"]:
         size, seed = cfg["kendall.sample_size"], cfg["compute.seed"]
-        return submit(compute.finite_sample, df, cols, size, seed).result
+        return submit(compute.finite_sample, df, cols, size, seed, nrows).result
     return None
 
 
@@ -563,50 +567,49 @@ def compute_correlation_vector(df: DataFrame, col: str, cfg: Config) -> Intermed
     return inter
 
 
-def _pair_pass(
-    df: DataFrame, cols: list[str], spearman: bool
-) -> tuple[CoMoments, pd.DataFrame | None]:
-    """The pair's co-moments, and its Spearman matrix when ``spearman``.
-
-    Below the cell budget both come from one collect of the finite values,
-    the co-moment kernel and the ranks run on the driver: a ``mapInPandas``
-    job's fixed cost (Python tasks on every partition) is several times a
-    collect of two columns. Above it, the 2×2 scan and ``rank_scan``.
-    """
-    nrows = df.count()
-    pdf = compute.driver_values(df, cols, nrows)
-    if pdf is None:
-        return comoment_scan(df, cols), (rank_scan(df, cols)[1] if spearman else None)
-    return local_comoments(pdf, cols), (ranked_pearson(pdf, cols) if spearman else None)
-
-
 def compute_correlation_pair(df: DataFrame, c1: str, c2: str, cfg: Config) -> Intermediates:
     """``plot_correlation(df, c1, c2)`` — scatter + least-squares line.
 
-    The pair's 2×2 co-moments give Pearson and the line (``_pair_pass``);
-    the scatter is a seeded sample of the rows where both values are finite.
+    The row count picks the phase. Below the cell budget one collect of the
+    pair's finite values gives every output on the driver: the 2×2
+    co-moments (Pearson and the line), Spearman, the scatter (the complete
+    pairs, ``compute.scatter_points``) and Kendall's sample (``compute.drawn``,
+    as ``plot_correlation(df)`` draws it); a ``mapInPandas`` job's fixed
+    cost is several times a collect of two columns. Above it the 2×2 scan,
+    ``rank_scan`` and two seeded Spark samples, in flight together.
     """
     for c in (c1, c2):
         if detect_type(df, c) is not EDAType.NUMERICAL:
             raise TypeError(f"plot_correlation requires numerical columns, got {c!r}")
     cols = [c1, c2]
     methods = cfg["correlation.methods"]
+    size, seed = cfg["scatter.sample_size"], cfg["compute.seed"]
     inter = Intermediates(task=f"correlation:{c1}:{c2}")
     inter["cols"] = (c1, c2)
-    with compute.in_flight(df.sparkSession) as submit:
-        moments = submit(_pair_pass, df, cols, "spearman" in methods)
-        complete = " AND ".join(f"{compute.quote(c)} IS NOT NULL" for c in cols)
-        scatter = submit(
-            compute.sample_pass, compute.finite_values(df, cols).where(complete), cols,
-            cfg["scatter.sample_size"], cfg["compute.seed"],
-        )
-        sample = _kendall_sample(submit, df, cols, cfg)
+    nrows = df.count()
+    pdf = compute.driver_values(df, cols, nrows)
+    if pdf is not None:  # below the cell budget: every output from the one collect
+        moments = local_comoments(pdf, cols)
         mats = correlation_view(
-            methods, cols, sample,
-            lambda: moments.result()[0].pearson(), lambda: moments.result()[1],
+            methods, cols, lambda: compute.drawn(pdf, cfg["kendall.sample_size"], seed),
+            moments.pearson, lambda: ranked_pearson(pdf, cols),
         )
-        inter["scatter"] = scatter.result()
-        inter["regression"] = moments.result()[0].regression(c1, c2)
+        inter["scatter"] = compute.scatter_points(pdf, size, seed)
+    else:
+        with compute.in_flight(df.sparkSession) as submit:
+            scan = submit(comoment_scan, df, cols)
+            ranks = submit(rank_scan, df, cols) if "spearman" in methods else None
+            complete = " AND ".join(f"{compute.quote(c)} IS NOT NULL" for c in cols)
+            pairs = compute.finite_values(df, cols).where(complete)
+            scatter = submit(compute.sample_pass, pairs, cols, size, seed)
+            sample = _kendall_sample(submit, df, cols, cfg, nrows)
+            mats = correlation_view(
+                methods, cols, sample,
+                lambda: scan.result().pearson(), lambda: ranks.result()[1],
+            )
+            moments = scan.result()
+            inter["scatter"] = compute.point_order(scatter.result())
+    inter["regression"] = moments.regression(c1, c2)
     inter.data.update({m: float(mat.iloc[0, 1]) for m, mat in mats.items()})
     return inter
 

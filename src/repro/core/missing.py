@@ -10,11 +10,20 @@ after the Missingno library the paper derives its mapping rules from.
 * ``plot_missing(df, c1)`` — for every other column, its distribution
   before vs after dropping the rows where ``c1`` is missing (the paper
   notes this is the most expensive task: two frequency distributions per
-  column). It reuses the overview's counting jobs, ``compute.binned_counts``
-  and ``compute.category_counts``: both distributions come out of **one**
-  melted shuffle per type class, the *after* one as an extra sum.
+  column). The categorical columns reuse the overview's counting job,
+  ``compute.category_counts``: both distributions come out of **one**
+  melted shuffle, the *after* one as an extra sum. A row count picks the
+  phase of the numeric ones (paper §5.2): below the cell budget
+  (``compute.DRIVER_CELLS``) one collect of their finite values and
+  ``c1``'s missing flag (``compute.driver_values``) gives both histograms
+  on the driver (``compute.driver_binned_counts``); above it
+  ``compute.binned_counts`` counts them in one shuffle the same way.
 * ``plot_missing(df, c1, c2)`` — histogram, PDF, CDF and box plot of
-  ``c2`` before/after dropping ``c1``-missing rows, from the same counts.
+  ``c2`` before/after dropping ``c1``-missing rows. A numeric ``c2``
+  crosses the same boundary: below the budget all four come from one
+  collect of ``c2`` and ``c1``'s flag, the box quartiles exact
+  (``compute.exact_quantiles``); above it from ``binned_counts`` and a
+  quartile sketch. A categorical ``c2`` takes one ``category_counts``.
 """
 from __future__ import annotations
 
@@ -109,13 +118,17 @@ def _before_after(counts: dict[str, pd.DataFrame]) -> dict[str, pd.DataFrame]:
 def compute_missing_col(df: DataFrame, col1: str, cfg: Config) -> Intermediates:
     """``plot_missing(df, c1)`` — impact of dropping ``c1``-missing rows.
 
-    The overview's counting jobs with one extra sum: every numeric column's
-    histogram (``compute.binned_counts``) and every categorical column's
-    value counts (``compute.category_counts``), each counted over all rows
-    (*before*) and over the rows where ``c1`` is present (*after*) in the
-    same shuffle. The value counts run beside one aggregate of the row
-    total, ``c1``'s missing cells and the numeric columns' finite min/max
-    (``compute.finite_minmax``), which the histograms wait for.
+    Every other numeric column's histogram and every categorical column's
+    value counts, each counted over all rows (*before*) and over the rows
+    where ``c1`` is present (*after*). The value counts
+    (``compute.category_counts``, the *after* counts as an extra sum in the
+    same shuffle) run beside a row count, which picks the phase. Below the
+    cell budget one collect of the numeric columns' finite values and
+    ``c1``'s missing flag gives the edges (its min/max), both histograms
+    and the dropped rows on the driver. Above it one aggregate of ``c1``'s
+    missing cells and the numeric columns' finite min/max
+    (``compute.finite_minmax``), then ``compute.binned_counts`` with the
+    same extra sum.
     """
     types = detect_types(df)
     if col1 not in df.columns:
@@ -126,20 +139,28 @@ def compute_missing_col(df: DataFrame, col1: str, cfg: Config) -> Intermediates:
 
     missing = compute.missing_conditions(df, [col1])[0]
     keep = f"NOT {missing}"
+    bins = cfg["hist.bins"]
     with compute.in_flight(df.sparkSession) as submit:
         # the value counts need nothing; the histograms need the min/max
         counts_job = submit(compute.category_counts, df, cat_cols, cfg["bar.top_n"] * 10, keep)
-        minmax, totals = compute.finite_minmax(
-            df, num_cols, nrows="count(1)", dropped=f"count_if({missing})"
-        )
-        edges = compute.histogram_edges(num_cols, minmax, cfg["hist.bins"])
-        numeric = compute.binned_counts(df, edges, keep)
+        nrows = df.count()
+        values = compute.driver_values(df, num_cols, nrows, [col1])
+        if values is not None:  # below the cell budget: the histograms from the one collect
+            dropped = compute.missing_flags(values, [col1])[col1].to_numpy(dtype=bool)
+            edges = compute.histogram_edges(num_cols, compute.driver_minmax(values[num_cols]), bins)
+            numeric = compute.driver_binned_counts(values, edges, ~dropped)
+            n_dropped = int(dropped.sum())
+        else:
+            minmax, totals = compute.finite_minmax(df, num_cols, dropped=f"count_if({missing})")
+            edges = compute.histogram_edges(num_cols, minmax, bins)
+            numeric = compute.binned_counts(df, edges, keep)
+            n_dropped = int(totals["dropped"])
         categorical = counts_job.result()[0]
 
     inter = Intermediates(task=f"missing:{col1}")
     inter["col"] = col1
-    inter["nrows"] = int(totals["nrows"])
-    inter["n_dropped"] = int(totals["dropped"])
+    inter["nrows"] = nrows
+    inter["n_dropped"] = n_dropped
     inter["numeric"] = _before_after(numeric)
     inter["categorical"] = _before_after(categorical)
     # Distribution-shift score per column (KS over binned histograms for
@@ -154,19 +175,49 @@ def compute_missing_col(df: DataFrame, col1: str, cfg: Config) -> Intermediates:
     return inter
 
 
+def _quartile_box(q) -> dict[str, float]:
+    """``{q1, median, q3}`` from the quartiles ``q``; NaN when there are none."""
+    return dict(zip(("q1", "median", "q3"), q if q and q[0] is not None else (np.nan,) * 3))
+
+
 def compute_missing_pair(df: DataFrame, col1: str, col2: str, cfg: Config) -> Intermediates:
-    """``plot_missing(df, c1, c2)`` — impact of dropping on one column."""
+    """``plot_missing(df, c1, c2)`` — impact of dropping on one column.
+
+    A numeric ``c2`` takes one aggregate of the row total (which picks the
+    phase) and its finite min/max (the edges). Below the cell budget one
+    collect of its finite values and ``c1``'s missing flag gives the
+    histogram, PDF, CDF and the box with exact quartiles, before and after
+    the drop, on the driver; above it ``compute.binned_counts`` with the
+    *after* sum and one aggregate of the quartile sketches. A categorical
+    ``c2`` takes one ``compute.category_counts`` at any size.
+    """
     types = detect_types(df)
     keep = f"{compute.missing_exprs(df, [col1])[0]} = 0"
     inter = Intermediates(task=f"missing:{col1}:{col2}")
     inter["cols"] = (col1, col2)
     t2 = types[col2]
     if t2 is EDAType.NUMERICAL:
-        minmax = compute.finite_minmax(df, [col2])[0]
+        minmax, totals = compute.finite_minmax(df, [col2], nrows="count(1)")
         edges = compute.histogram_edges([col2], minmax, cfg["hist.bins"])
-        frame = _before_after(compute.binned_counts(df, edges, keep)).get(
-            col2, pd.DataFrame(columns=["bin", "before", "after"])
-        )
+        values = compute.driver_values(df, [col2], totals["nrows"], [col1])
+        if values is not None:  # below the cell budget: every view from the one collect
+            kept = ~compute.missing_flags(values, [col1])[col1].to_numpy(dtype=bool)
+            counts = compute.driver_binned_counts(values, edges, kept)
+            y = values[col2].to_numpy("float64")
+            finite = np.isfinite(y)
+            q_before = compute.exact_quantiles(np.sort(y[finite]), compute.QUARTILES)
+            q_after = compute.exact_quantiles(np.sort(y[finite & kept]), compute.QUARTILES)
+        else:
+            counts = compute.binned_counts(df, edges, keep)
+            quartiles = list(compute.QUARTILES)
+            box_row = df.selectExpr(
+                f"{compute.finite(compute.quote(col2))} AS y", f"{keep} AS keep"
+            ).agg(
+                F.percentile_approx("y", quartiles).alias("q_before"),
+                F.percentile_approx(F.when(F.col("keep"), F.col("y")), quartiles).alias("q_after"),
+            ).collect()[0]
+            q_before, q_after = box_row["q_before"], box_row["q_after"]
+        frame = _before_after(counts).get(col2, pd.DataFrame(columns=["bin", "before", "after"]))
         inter["hist"] = frame
         b, a = frame["before"].to_numpy("float64"), frame["after"].to_numpy("float64")
         inter["pdf"] = {
@@ -177,18 +228,7 @@ def compute_missing_pair(df: DataFrame, col1: str, col2: str, cfg: Config) -> In
             "before": np.cumsum(inter["pdf"]["before"]),
             "after": np.cumsum(inter["pdf"]["after"]),
         }
-        box_row = df.selectExpr(
-            f"{compute.finite(compute.quote(col2))} AS y", f"{keep} AS keep"
-        ).agg(
-            F.percentile_approx("y", [0.25, 0.5, 0.75]).alias("q_before"),
-            F.percentile_approx(F.when(F.col("keep"), F.col("y")), [0.25, 0.5, 0.75]).alias(
-                "q_after"
-            ),
-        ).collect()[0]
-        inter["box"] = {
-            "before": dict(zip(("q1", "median", "q3"), box_row["q_before"] or (np.nan,) * 3)),
-            "after": dict(zip(("q1", "median", "q3"), box_row["q_after"] or (np.nan,) * 3)),
-        }
+        inter["box"] = {"before": _quartile_box(q_before), "after": _quartile_box(q_after)}
         inter["shift"] = ks_distance(b, a)
     elif t2 is EDAType.CATEGORICAL:
         frame = _before_after(

@@ -75,8 +75,6 @@ hexbin grid per numeric pair, binned by the histograms' rule.
 """
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.core import compute
@@ -91,41 +89,6 @@ from repro.core.missing import missing_view
 from repro.core.overview import dataset_stats, duplicate_rows_pass
 from repro.core.render import render_report, stats_table, svg_bars, svg_line
 from repro.core.univariate import categorical_view, numerical_view, quantile_probs, sample_rows
-
-
-def _hexbins(
-    rows: pd.DataFrame,
-    num_cols: list[str],
-    minmax: dict[str, tuple[float | None, float | None]],
-    gs: int,
-) -> dict[tuple[str, str], pd.DataFrame]:
-    """Interactions: a hexbin grid per numeric pair over the finite pairs of ``rows``.
-
-    Each column is binned by ``compute.bin_of`` into ``gs`` bins over its
-    ``minmax``, the histograms' rule over the same min/max. ``rows`` is
-    every row below the cell budget, the shared sample above it.
-    """
-    cells = gs * gs
-    # per column, x's cell offset and y's bin; a value that is not finite
-    # maps past the grid, so every pair holding it falls outside it too
-    xcell, ybin = {}, {}
-    for c in num_cols:
-        v = rows[c].to_numpy(dtype="float64")
-        ok = np.isfinite(v)
-        b = np.full(v.size, cells)
-        if ok.any():
-            mn, mx = minmax[c]
-            b[ok] = compute.bin_of(v[ok], mn, (mx - mn) / gs, gs)
-        xcell[c], ybin[c] = np.where(ok, b * gs, cells), b
-    interactions: dict[tuple[str, str], pd.DataFrame] = {}
-    for i, a in enumerate(num_cols):
-        for b in num_cols[i + 1:]:
-            flat = np.bincount(xcell[a] + ybin[b], minlength=cells)[:cells]
-            nz = np.flatnonzero(flat)
-            interactions[(a, b)] = pd.DataFrame(
-                {"xbin": nz // gs, "ybin": nz % gs, "count": flat[nz]}
-            )
-    return interactions
 
 
 def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
@@ -181,7 +144,7 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
             ).result
             rows = sample = sample_job.result()
         # driver side, while Spark jobs are in flight
-        interactions = _hexbins(rows, num_cols, minmax, cfg["hexbin.gridsize"])
+        interactions = compute.hexbins(rows, num_cols, minmax, cfg["hexbin.gridsize"])
         corr = correlation_view(
             methods, num_cols, lambda: sample.head(cfg["kendall.sample_size"]),
             lambda: scan().pearson(), spearman,

@@ -18,13 +18,19 @@ on the driver path (checked against pandas) and an HLL estimate in Spark
 (``test_compute``'s bound). The sample is a seeded numpy draw on the
 driver path, checked against pandas on the same draw. ``plot(df)`` and
 ``plot(df, c)`` cross the same boundary and are held to the same rules.
+So do the pair tasks (``plot(df, x, y)``, ``plot_missing(df, c1[, c2])``
+and the correlation pair): their hexbins, lines, top groups, before/after
+counts and box quartiles are equal on both paths, their scatter and
+Kendall samples equal pandas' on the same draw.
 """
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core import compute, correlation, create_report, plot, plot_correlation, report
+from repro.core import (
+    compute, correlation, create_report, plot, plot_correlation, plot_missing, report,
+)
 from repro.core.config import Config
 from repro.substrate import numutils
 
@@ -220,6 +226,23 @@ def test_univariate_driver_path_equals_distributed_path(request, monkeypatch, na
     assert _same({k: below["box"][k] for k in box}, {k: above["box"][k] for k in box})
 
 
+def test_constant_column_moments_agree_above_the_budget(spark, monkeypatch):
+    """A constant whose value is not exact in binary (0.1) has std 0 and NaN
+    skew and kurt on both paths, in ``plot(df, c)`` and in the report. Spark's
+    streaming moments gave 999 rows of it in 3 partitions a std of 6e-18."""
+    g = np.random.default_rng(14)
+    n = 999
+    pdf = pd.DataFrame({"tenth": np.full(n, 0.1), "x": g.normal(size=n)})
+    df = spark.createDataFrame(pdf).repartition(3)
+    below, above = _plot_both_paths(df, monkeypatch, "tenth")
+    _assert_stats_agree("tenth", below["stats"], above["stats"], pdf["tenth"])
+    below, above = _both_paths(df, monkeypatch)
+    for c in pdf:
+        _assert_stats_agree(c, below["variables"][c]["stats"], above["variables"][c]["stats"], pdf[c])
+    stats = above["variables"]["tenth"]["stats"]
+    assert stats["std"] == 0.0 and np.isnan(stats["skew"]) and np.isnan(stats["kurt"])
+
+
 def test_below_the_budget_no_scan_and_no_sample_job(titanic, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a Spark pass the driver path replaces ran")
@@ -385,3 +408,262 @@ def test_single_threaded_blas_restores_the_thread_count():
     finally:
         sys.setswitchinterval(interval)
         put(before)
+
+
+# -- the pair tasks: plot(df, x, y), plot_missing(df, c1[, c2]) and the
+# correlation pair cross the same boundary --------------------------------
+
+
+@pytest.fixture(scope="module")
+def adversarial(spark):
+    """The adversarial frame, cached: its collect order is then the order
+    of any scan of it, filtered or not, which the sample checks rebuild."""
+    df = _adversarial(spark)
+    df.cache().count()
+    yield df
+    df.unpersist()
+
+
+def _sorted_grid(frame: pd.DataFrame) -> np.ndarray:
+    """A hexbin's ``(xbin, ybin, count)`` rows as int64, in cell order."""
+    grid = frame[["xbin", "ybin", "count"]].to_numpy("int64")
+    return grid[np.lexsort((grid[:, 1], grid[:, 0]))]
+
+
+def _assert_frames_equal(got: pd.DataFrame, want: pd.DataFrame, what: str):
+    """The same columns and values, exactly; integer columns may differ in width."""
+    assert list(got.columns) == list(want.columns), what
+    for c in want.columns:
+        g, w = got[c].to_numpy(), want[c].to_numpy()
+        if w.dtype.kind in "iu":
+            g, w = g.astype("int64"), w.astype("int64")
+        np.testing.assert_array_equal(g, w, err_msg=f"{what}.{c}")
+
+
+def _complete(df, cols) -> pd.DataFrame:
+    """``cols`` of ``df`` as finite float64, NaN where missing or ±inf, in collect order."""
+    return df.select(*cols).toPandas().astype("float64").replace([np.inf, -np.inf], np.nan)
+
+
+def _draw(rows: pd.DataFrame, n: int) -> pd.DataFrame:
+    """The head ``n`` of the seeded permutation of ``rows``: ``compute.drawn``'s rule."""
+    perm = np.random.default_rng(Config.from_user()["compute.seed"]).permutation(len(rows))
+    return rows.iloc[perm[:n]].reset_index(drop=True)
+
+
+def _scatter(rows: pd.DataFrame) -> pd.DataFrame:
+    """The scatter of ``rows``: its complete rows, drawn when more than the
+    cap, sorted by their first value, then their second."""
+    pairs = rows.dropna().reset_index(drop=True)
+    size = Config.from_user()["scatter.sample_size"]
+    points = pairs if len(pairs) <= size else _draw(pairs, size)
+    a, b = points.to_numpy().T
+    return points.iloc[np.lexsort((b, a))].reset_index(drop=True)
+
+
+NUM_NUM = {
+    "titanic": [("num_0", "num_1"), ("num_2", "num_3")],
+    "adversarial": [("x", "far"), ("ties", "const"), ("nan", "ties"), ("x", "allnull")],
+}
+
+
+@pytest.mark.parametrize("name, x, y", [(n, *p) for n, pairs in NUM_NUM.items() for p in pairs])
+def test_num_num_driver_path_equals_distributed_path(request, monkeypatch, name, x, y):
+    """NN: the hexbin and the binned box (exact quartiles) of both paths
+    are equal; the scatter is pandas' complete pairs on the same draw."""
+    df = request.getfixturevalue(name)
+    below, above = _plot_both_paths(df, monkeypatch, x, y)
+    np.testing.assert_array_equal(_sorted_grid(below["hexbin"]), _sorted_grid(above["hexbin"]))
+    for k in ("x_edges", "y_edges"):
+        np.testing.assert_array_equal(below["hexbin"].attrs.get(k), above["hexbin"].attrs.get(k))
+    _assert_frames_equal(below["binned_box"], above["binned_box"], "binned_box")
+    np.testing.assert_array_equal(
+        below["binned_box"].attrs.get("x_edges"), above["binned_box"].attrs.get("x_edges")
+    )
+    rows = _complete(df, [x, y])
+    assert below["hexbin"]["count"].sum() == rows.notna().all(axis=1).sum()
+    np.testing.assert_array_equal(below["scatter"][[x, y]].to_numpy(), _scatter(rows).to_numpy())
+
+
+NUM_CAT = {
+    "titanic": [("num_0", "cat_0"), ("cat_1", "num_2")],
+    "adversarial": [("x", "cat"), ("cat", "far"), ("const", "cat"), ("allnull", "cat")],
+}
+
+
+@pytest.mark.parametrize("name, a, b", [(n, *p) for n, pairs in NUM_CAT.items() for p in pairs])
+def test_num_cat_driver_path_equals_distributed_path(request, monkeypatch, name, a, b):
+    """NC and CN: the top groups, the box per group (exact quartiles) and
+    the lines of both paths are equal."""
+    df = request.getfixturevalue(name)
+    _assert_num_cat_equal(*_plot_both_paths(df, monkeypatch, a, b))
+
+
+def _assert_num_cat_equal(below, above):
+    assert below["groups"] == above["groups"]
+    _assert_frames_equal(below["cat_box"], above["cat_box"], "cat_box")
+    assert list(below["lines"]) == list(above["lines"])
+    for g, line in above["lines"].items():
+        np.testing.assert_array_equal(below["lines"][g], line, err_msg=g)
+    np.testing.assert_array_equal(below.get("line_edges"), above.get("line_edges"))
+
+
+def test_num_cat_top_groups_break_ties_by_value(spark, monkeypatch):
+    """Six equally frequent categories, five groups: both paths keep the
+    first five values in ascending order (UTF-8 byte order, code points)."""
+    values = ["b", "a", "é", "d", "c", "Z"]
+    pdf = pd.DataFrame({"g": values * 20, "n": np.arange(120.0)})
+    df = spark.createDataFrame(pdf).repartition(3)
+    below, above = _plot_both_paths(df, monkeypatch, "n", "g")
+    assert below["groups"] == above["groups"] == sorted(values)[:5]
+    _assert_frames_equal(below["cat_box"], above["cat_box"], "cat_box")
+
+
+def test_num_cat_prices_a_label_by_its_bytes(spark, monkeypatch):
+    """A collected label costs ``LABEL_CELLS`` plus its bytes / 8 in the
+    budget. 200 rows of a value and a 600-byte label are 1,800 cells before
+    the bytes and 16,800 with them: a budget of 2,000 takes the Spark path,
+    one of 20,000 the driver path, and both give the same answer."""
+    g = np.random.default_rng(15)
+    n = 200
+    pdf = pd.DataFrame({"text": [str(i % 7) + "x" * 599 for i in range(n)], "n": g.normal(size=n)})
+    df = spark.createDataFrame(pdf).repartition(2)
+    collected, driver_values = [], compute.driver_values
+
+    def spy(*args, **kwargs):
+        values = driver_values(*args, **kwargs)
+        collected.append(values is not None)
+        return values
+
+    monkeypatch.setattr(compute, "driver_values", spy)
+    got = {}
+    for budget in (2_000, 20_000):
+        monkeypatch.setattr(compute, "DRIVER_CELLS", budget)
+        got[budget] = plot(df, "n", "text").intermediates
+    assert collected == [False, True]
+    _assert_num_cat_equal(got[20_000], got[2_000])
+
+
+def _missing_both_paths(df, monkeypatch, *args):
+    below = plot_missing(df, *args).intermediates
+    with monkeypatch.context() as m:
+        m.setattr(compute, "DRIVER_CELLS", 0)
+        above = plot_missing(df, *args).intermediates
+    return below, above
+
+
+def _assert_counts_equal(got: dict, want: dict):
+    """``plot_missing``'s before/after frames, their edges included."""
+    assert list(got) == list(want)
+    for c, frame in want.items():
+        _assert_frames_equal(got[c], frame, c)
+        np.testing.assert_array_equal(got[c].attrs.get("edges"), frame.attrs.get("edges"))
+
+
+MISSING_COL = {"titanic": ["num_0", "cat_0"], "adversarial": ["x", "ties", "cat", "allnull"]}
+
+
+@pytest.mark.parametrize("name, col", [(n, c) for n, cols in MISSING_COL.items() for c in cols])
+def test_missing_col_driver_path_equals_distributed_path(request, monkeypatch, name, col):
+    """``plot_missing(df, c1)``: rows, dropped rows, every before/after
+    histogram and value count, and the shifts of both paths are equal."""
+    df = request.getfixturevalue(name)
+    below, above = _missing_both_paths(df, monkeypatch, col)
+    assert (below["nrows"], below["n_dropped"]) == (above["nrows"], above["n_dropped"])
+    assert below["n_dropped"] == int(df.select(col).toPandas()[col].isna().sum())
+    _assert_counts_equal(below["numeric"], above["numeric"])
+    _assert_counts_equal(below["categorical"], above["categorical"])
+    assert _same(below["shift"], above["shift"])
+
+
+MISSING_PAIR = {
+    "titanic": [("num_0", "num_1"), ("num_0", "cat_0")],
+    "adversarial": [("x", "far"), ("ties", "x"), ("x", "const"), ("x", "allnull"), ("x", "cat")],
+}
+
+
+@pytest.mark.parametrize("name, c1, c2", [(n, *p) for n, pairs in MISSING_PAIR.items() for p in pairs])
+def test_missing_pair_driver_path_equals_distributed_path(request, monkeypatch, name, c1, c2):
+    """``plot_missing(df, c1, c2)``, numeric and categorical ``c2``: the
+    histogram, PDF, CDF, box (exact quartiles) or bar and the shift of both
+    paths are equal."""
+    df = request.getfixturevalue(name)
+    below, above = _missing_both_paths(df, monkeypatch, c1, c2)
+    assert below.keys() == above.keys()
+    for k in ("hist", "bar"):
+        if k in above:
+            _assert_frames_equal(below[k], above[k], k)
+            np.testing.assert_array_equal(below[k].attrs.get("edges"), above[k].attrs.get("edges"))
+    for k in ("pdf", "cdf"):
+        if k in above:
+            for side in ("before", "after"):
+                np.testing.assert_array_equal(below[k][side], above[k][side], err_msg=f"{k}.{side}")
+    if "box" in above:
+        assert _same(below["box"], above["box"])
+    assert _same(below["shift"], above["shift"])
+
+
+CORRELATION_PAIR = {
+    "titanic": [("num_0", "num_1"), ("num_4", "num_6")],
+    "adversarial": [("x", "far"), ("ties", "nan"), ("x", "const"), ("x", "allnull")],
+}
+
+
+@pytest.mark.parametrize(
+    "name, a, b", [(n, *p) for n, pairs in CORRELATION_PAIR.items() for p in pairs]
+)
+def test_correlation_pair_driver_path_equals_distributed_path(request, monkeypatch, name, a, b):
+    """The correlation pair: Pearson, Spearman and the line of both paths
+    agree to 1e-12 (``far`` to its offset's tolerance); the scatter and
+    Kendall are pandas' on the same draw of the collected rows."""
+    df = request.getfixturevalue(name)
+    below = plot_correlation(df, a, b).intermediates
+    with monkeypatch.context() as m:
+        m.setattr(compute, "DRIVER_CELLS", 0)
+        above = plot_correlation(df, a, b).intermediates
+    # Spearman reads ranks, which have no offset; the rest reads deviations
+    tol = _tol(FAR) if "far" in (a, b) else ATOL
+    for k, atol in (("pearson", tol), ("spearman", ATOL)):
+        np.testing.assert_allclose(below[k], above[k], rtol=0, atol=atol, equal_nan=True, err_msg=k)
+    for k in ("slope", "intercept"):
+        np.testing.assert_allclose(
+            below["regression"][k], above["regression"][k], rtol=tol, equal_nan=True, err_msg=k
+        )
+    rows = _complete(df, [a, b])
+    np.testing.assert_array_equal(below["scatter"][[a, b]].to_numpy(), _scatter(rows).to_numpy())
+    sample = _draw(rows, Config.from_user()["kendall.sample_size"]).dropna()
+    if len(sample) >= 2:
+        want = numutils.kendall_tau(sample[a].to_numpy(), sample[b].to_numpy())
+        assert below["kendall"] == pytest.approx(want, rel=0, abs=ATOL, nan_ok=True)
+    else:
+        assert np.isnan(below["kendall"])
+
+
+def test_below_the_budget_the_pair_tasks_run_no_numeric_job(titanic, monkeypatch):
+    """Below the budget no pair task runs a keyed ``groupBy``, a quartile
+    sketch, a Spark sample, a binned count or a co-moment or rank scan over
+    its numeric columns: the one collect replaces them. ``plot_missing(df,
+    c1)``'s categorical value counts keep their ``groupBy``."""
+    from pyspark.sql import DataFrame
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a Spark pass the driver path replaces ran")
+
+    for name in ("sample_pass", "finite_sample", "binned_counts"):
+        monkeypatch.setattr(compute, name, fail)
+    for name in ("comoment_scan", "rank_scan"):
+        monkeypatch.setattr(correlation, name, fail)
+    monkeypatch.setattr(F, "percentile_approx", fail)
+    plot_missing(titanic, "num_0")
+    group_by = DataFrame.groupBy
+
+    def unkeyed(self, *cols):
+        assert not cols, f"a groupBy over {cols} ran"
+        return group_by(self)
+
+    monkeypatch.setattr(DataFrame, "groupBy", unkeyed)
+    plot(titanic, "num_0", "num_1")
+    plot(titanic, "num_0", "cat_0")
+    plot(titanic, "cat_0", "num_0")
+    plot_missing(titanic, "num_0", "num_1")
+    plot_correlation(titanic, "num_0", "num_1")

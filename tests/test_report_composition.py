@@ -156,25 +156,51 @@ def _numeric(df):
 
 
 #: Spark jobs of the report's shared pass plan (on the frame and on its
-#: numerical columns alone, where no stats job runs), of the three
-#: ``plot_missing`` variants, of the overview and two univariate calls and
-#: of the correlation vector and pair on the cached 4-partition titanic frame.
+#: numerical columns alone, where no stats job runs), of the ``plot_missing``
+#: variants, of the overview, two univariate and two bivariate calls and of
+#: the correlation vector and pair on the cached 4-partition titanic frame.
+#: Under adaptive execution a count or an aggregate is two jobs.
 PINNED_JOBS = {
     "create_report": (lambda df: create_report(df), 11),
     "create_report_numeric": (lambda df: create_report(_numeric(df)), 6),
     "plot_missing": (lambda df: plot_missing(df), 3),
-    "plot_missing_num_0": (lambda df: plot_missing(df, "num_0"), 7),
+    "plot_missing_num_0": (lambda df: plot_missing(df, "num_0"), 6),
+    "plot_missing_num_0_num_1": (lambda df: plot_missing(df, "num_0", "num_1"), 3),
     "plot_missing_num_0_cat_0": (lambda df: plot_missing(df, "num_0", "cat_0"), 3),
     "plot": (lambda df: plot(df), 11),
     "plot_num_0": (lambda df: plot(df, "num_0"), 3),
     "plot_cat_0": (lambda df: plot(df, "cat_0"), 10),
+    "plot_num_0_num_1": (lambda df: plot(df, "num_0", "num_1"), 3),
+    "plot_num_0_cat_0": (lambda df: plot(df, "num_0", "cat_0"), 3),
     "plot_correlation_num_0": (lambda df: plot_correlation(df, "num_0"), 5),
-    "plot_correlation_num_0_num_1": (lambda df: plot_correlation(df, "num_0", "num_1"), 9),
+    "plot_correlation_num_0_num_1": (lambda df: plot_correlation(df, "num_0", "num_1"), 3),
 }
 
 
 @pytest.mark.parametrize("call, want", PINNED_JOBS.values(), ids=PINNED_JOBS.keys())
 def test_job_counts_pinned(spark, titanic, call, want):
+    assert _jobs(spark, lambda: call(titanic)) == want
+
+
+#: the same at a cell budget of 0, for the calls whose phase the row count
+#: picks: their Spark paths, after that count
+PINNED_JOBS_ABOVE_THE_BUDGET = {
+    "plot_missing_num_0": 9,
+    "plot_missing_num_0_num_1": 6,
+    "plot_num_0_num_1": 9,
+    "plot_num_0_cat_0": 8,
+    "plot_correlation_num_0_num_1": 9,
+}
+
+
+@pytest.mark.parametrize(
+    "name, want", PINNED_JOBS_ABOVE_THE_BUDGET.items(), ids=PINNED_JOBS_ABOVE_THE_BUDGET.keys()
+)
+def test_job_counts_pinned_above_the_budget(spark, titanic, monkeypatch, name, want):
+    from repro.core import compute
+
+    monkeypatch.setattr(compute, "DRIVER_CELLS", 0)
+    call = PINNED_JOBS[name][0]
     assert _jobs(spark, lambda: call(titanic)) == want
 
 
