@@ -59,8 +59,10 @@ def compute_num_num(df: DataFrame, x: str, y: str, cfg: Config) -> Intermediates
 
     gs, nb = cfg["hexbin.gridsize"], cfg["boxnum.bins"]
     size, seed = cfg["scatter.sample_size"], cfg["compute.seed"]
-    pairs = compute.driver_values(proj, list(dict.fromkeys((x, y))), totals["nrows"])  # x may be y
-    if pairs is not None:  # below the cell budget: the three views from the one collect
+    cols = list(dict.fromkeys((x, y)))  # x may be y
+    collected = compute.driver_values(proj, cols, totals["nrows"])
+    if collected is not None:  # below the cell budget: the three views from the one collect
+        pairs = collected.values
         inter["scatter"] = compute.scatter_points(pairs[[x, y]], size, seed)
         hexbin = compute.hexbins(pairs, [x, y], mm, gs)[(x, y)]
         xbin = compute.bin_of(pairs[x].to_numpy("float64"), x_mn, (x_mx - x_mn) / nb, nb)
@@ -132,12 +134,9 @@ def compute_num_cat(df: DataFrame, num: str, cat: str, cfg: Config) -> Intermedi
 
     ngroups, bins = cfg["line.ngroups"], cfg["hist.bins"]
     if rows is not None:  # below the cell budget: everything from the one collect
-        code, values = pd.factorize(rows["g"].to_numpy(object))
-        counts = np.bincount(code, minlength=values.size)
-        by_value = np.empty(values.size, dtype="int64")
-        by_value[np.argsort(values)] = np.arange(values.size)  # code point order, Spark's
-        ranked = np.lexsort((by_value, -counts))[:ngroups]
-        top = values[ranked].tolist()
+        values, code = rows.labels["g"]
+        ranked = compute.top_labels(values, np.bincount(code, minlength=len(values)), ngroups)
+        top = values.take(ranked).to_pylist()
     else:
         top_pdf = (
             proj.groupBy("g").count().orderBy(F.desc("count"), F.asc("g")).limit(ngroups).toPandas()
@@ -153,11 +152,11 @@ def compute_num_cat(df: DataFrame, num: str, cat: str, cfg: Config) -> Intermedi
         return inter
 
     if rows is not None:
-        place = np.full(values.size, -1)
+        place = np.full(len(values), -1)
         place[ranked] = np.arange(ranked.size)  # a top value's position in ``top``
         group = place[code]
         kept = group >= 0
-        group, y = group[kept], rows["y"].to_numpy("float64")[kept]
+        group, y = group[kept], rows.values["y"].to_numpy("float64")[kept]
         box = compute.group_boxes(group, y)
         box.insert(0, "g", np.array(top, dtype=object)[box.pop("key").to_numpy()])
     else:

@@ -27,18 +27,25 @@ implemented here:
 * ``histogram_pass`` / ``value_counts_pass`` — those counts shaped for
   ``plot(df)``, ``plot(df, c)`` and ``create_report``; ``plot_missing(df,
   c)`` runs the same two counts with one extra "after the drop" sum.
-* ``partition_rows``     — rows per partition: the offsets that scan
-  numbers rows with for the missing spectrum.
-* ``driver_values`` / ``numeric_stats`` — the phase boundary (paper §5.2):
-  below ``DRIVER_CELLS`` a task collects its finite numeric values and
-  missing flags once, and ``numeric_stats`` gives ``basic_stats_pass``'
-  numerical entries from them on the driver, its quantiles and distinct
-  counts exact where the aggregate sketches them (``exact_quantiles``, the
-  one exact-quantile rule). The other passes have driver twins over the
-  same collect: ``driver_histograms`` and ``driver_binned_counts`` count
+* ``partition_sizes`` / ``partition_rows`` — rows per partition and the
+  labels' bytes, one job: the gate that prices a collect, and the offsets
+  the scan numbers rows with for the missing spectrum.
+* ``driver_values`` / ``numeric_stats`` / ``categorical_summaries`` — the
+  phase boundary (paper §5.2): below ``DRIVER_CELLS`` a task collects its
+  columns once, in one Arrow collect: numeric values raw (numpy derives
+  the finite values and missing flags), labels reduced by
+  ``pyarrow.compute`` to a dictionary and codes. ``numeric_stats`` gives
+  ``basic_stats_pass``' numerical entries from them on the driver, its
+  quantiles and distinct counts exact where the aggregate sketches them
+  (``exact_quantiles``, the one exact-quantile rule);
+  ``categorical_summaries`` its categorical entries (distinct exact) and
+  ``value_counts_pass``' series; ``duplicate_rows`` the duplicate count.
+  The other passes have driver twins over the same collect:
+  ``driver_histograms`` and ``driver_binned_counts`` count
   ``binned_counts``' bins, ``hexbins`` the pair grids, ``group_boxes`` the
-  box plots' ``groupBy`` and ``drawn`` / ``scatter_points`` draw the
-  samples (``point_order`` orders a scatter on both paths).
+  box plots' ``groupBy``, ``top_labels`` ranks a column's values and
+  ``drawn`` / ``scatter_points`` draw the samples (``point_order`` orders a
+  scatter on both paths).
 
 Each pass reduces the distributed frame to a tiny pandas object; everything
 downstream (KDE, Q-Q, box stats, insights) is driver-side pandas/numpy —
@@ -61,10 +68,13 @@ import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark import inheritable_thread_target
 from pyspark.sql import Column, DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
@@ -494,13 +504,32 @@ def driver_binned_counts(
 def partition_rows(df: DataFrame) -> dict[int, int]:
     """Rows per non-empty partition of ``df``: ``{partition id: rows}``, in id order.
 
-    One ``groupBy(spark_partition_id()).count()``. The cumulative sums are
-    the partition offsets a scan numbers rows with (global row = offset of
-    its partition + position in it): the paper's chunk sizes, precomputed
-    before the graph that needs them is built.
+    ``partition_sizes`` without labels: the offsets a scan numbers rows
+    with (global row = offset of its partition + position in it), the
+    paper's chunk sizes, precomputed before the graph that needs them is
+    built.
     """
-    rows = df.groupBy(F.spark_partition_id().alias("pid")).count().collect()
-    return dict(sorted((int(r["pid"]), int(r["count"])) for r in rows))
+    return partition_sizes(df)[0]
+
+
+def partition_sizes(
+    df: DataFrame, labels: list[str] = ()
+) -> tuple[dict[int, int], dict[str, int]]:
+    """Rows per non-empty partition of ``df``, and the UTF-8 bytes of each of ``labels``.
+
+    One ``groupBy(spark_partition_id())`` of the row count and, per label
+    column, ``sum(octet_length(CAST(c AS STRING)))``: the gate of the phase
+    boundary. The row total and the bytes price a collect
+    (``driver_values``); above the budget the rows per partition, in id
+    order, are the offsets the co-moment scan numbers rows with.
+    """
+    aggs = [F.expr("count(1)")]
+    aggs += [F.expr(f"sum(octet_length(CAST({quote(c)} AS STRING)))") for c in labels]
+    # SQL text: a Column method called on the main thread captures its call
+    # site, and pyspark imports IPython (when installed) to do so
+    rows = df.groupBy(F.expr("spark_partition_id()")).agg(*aggs).collect()
+    layout = dict(sorted((int(r[0]), int(r[1])) for r in rows))
+    return layout, {c: sum(int(r[2 + i] or 0) for r in rows) for i, c in enumerate(labels)}
 
 
 def finite_minmax(
@@ -720,7 +749,12 @@ def point_order(points: pd.DataFrame) -> pd.DataFrame:
 #: and ``plot_correlation(df)`` all of them (stats, quantiles, histograms,
 #: co-moments, ranks, the sample); the pair tasks (``plot(df, x, y)``,
 #: ``plot_missing(df, c1[, c2])`` and the correlation pair) theirs too
-#: (hexbins, box plots, before/after histograms, samples).
+#: (hexbins, box plots, before/after histograms, samples). When the labels
+#: fit as well (``LABEL_CELLS``), the report, ``plot(df)`` and a categorical
+#: ``plot(df, c)`` collect every column and take the categorical stats,
+#: value counts and duplicate count on the driver too: on a 20-numeric +
+#: 12-categorical frame of 50k rows the report took 1.2 s against 11.5 s in
+#: Spark, with 5 MB more driver RSS.
 #: Above it they run in Spark, and Spearman ranks with the distributed
 #: window path. Ranking is the one correlation step that does not *reduce*
 #: data (every rank column is as big as its input), and each distributed
@@ -736,18 +770,40 @@ def point_order(points: pd.DataFrame) -> pd.DataFrame:
 DRIVER_CELLS = 5_000_000
 
 #: Cells a collected label (a string) costs beside one per 8 of its bytes.
-#: Collecting 1M rows of two doubles raised the driver's peak RSS by 47 B a
-#: row, 24 B a cell; a double and a distinct label of 20 / 100 bytes by
-#: 234 / 395 B a row (a Python string object each, and the Arrow buffers
-#: they are built from). At 24 B a cell, the double, 8 cells and a cell per
-#: 8 bytes give 276 / 516 B. A label repeated across rows shares one string
-#: object (49 B a row beside a double), so for a category the budget errs low.
-LABEL_CELLS = 8
+#: A label stays in Arrow (its bytes and an offset, then a dictionary and a
+#: code per row), never a Python object per cell. Collecting 500k rows of 8
+#: doubles with the duplicate count raised the driver's peak RSS by 169 B a
+#: row, 21 B a cell; a distinct label of 20 / 100 bytes beside them by 108 /
+#: 351 B a row more, 5.1 / 16.5 cells: 4 cells and a cell per 8 bytes give
+#: 6.5 / 16.5. A label repeated across rows is stored once, in the
+#: dictionary (5 B a row more for one of 20 categories), so for a category
+#: the budget errs high. (Python string labels, ``toPandas``, had cost 8
+#: cells and a cell per 8 bytes.)
+LABEL_CELLS = 4
 
 
 def fresh_names(columns: list[str], k: int) -> list[str]:
     """``k`` names longer than any of ``columns``, so none of them collides."""
     return [f"{'_' * max(map(len, columns), default=0)}_{i}" for i in range(k)]
+
+
+@dataclass
+class Collected:
+    """What ``driver_values`` brought to the driver, rows in partition order.
+
+    ``values`` holds the finite values of the numeric columns (float64, NaN
+    where a value is missing or ±inf) and ``flags`` the missing flags
+    (bool) of the indicators. ``labels`` maps each collected label column
+    to its distinct non-null values as an Arrow array (the dictionary) and
+    each row's position in it (int32, −1 where null): a value becomes a
+    Python object only when a caller takes it. ``duplicates`` counts the
+    rows equal to an earlier one when the collect held every column.
+    """
+
+    values: pd.DataFrame
+    flags: pd.DataFrame
+    labels: dict[str, tuple[pa.Array, np.ndarray]] = field(default_factory=dict)
+    duplicates: int | None = None
 
 
 def driver_values(
@@ -756,28 +812,151 @@ def driver_values(
     nrows: int | None = None,
     indicators: list[str] = (),
     labels: Mapping[str, int] = {},
-) -> pd.DataFrame | None:
-    """``cols``' finite values collected to the driver, or None above ``DRIVER_CELLS``.
+    duplicates: bool = False,
+) -> Collected | None:
+    """``cols``' values, ``labels`` and missing flags, collected once; None above ``DRIVER_CELLS``.
 
-    The columns of ``labels`` follow the values as strings (``CAST AS
-    STRING``, null kept); ``labels`` maps each to the UTF-8 bytes of its
-    values (``sum(octet_length(...))``), and in the budget a label costs
-    ``LABEL_CELLS`` plus a cell per 8 of its bytes. The missing flag of
-    each of ``indicators`` (``missing_conditions``) comes last, as a
-    BOOLEAN column under a name no column has (``missing_flags`` labels
-    them); in the budget a flag's byte counts an eighth of a value's cell.
-    The rows come in partition order. ``nrows`` (if already known) avoids a
-    count job.
+    One ``toArrow`` collect. The columns of ``cols`` come as raw doubles
+    (``CAST AS DOUBLE``; integers as they are, converted here alike); numpy
+    then derives their finite values and their missing flags (NaN: null or
+    NaN), so no flag is collected for them.
+    The columns of ``labels`` come as strings (``CAST AS STRING``), reduced
+    with ``pyarrow.compute`` to a dictionary and codes; ``labels`` maps
+    each to the UTF-8 bytes of its values (``partition_sizes``), and in the
+    budget a label costs ``LABEL_CELLS`` plus a cell per 8 of its bytes.
+    With ``duplicates`` every other column of ``df`` (datetime) comes too,
+    raw, a cell each, and ``Collected.duplicates`` is counted over all of
+    them (``duplicate_rows``). An indicator of none of these is collected
+    as a BOOLEAN flag (``missing_conditions``), in the budget an eighth of
+    a cell. ``nrows`` (if already known) avoids a count job.
     """
     if nrows is None:
         nrows = df.count()
-    cells = nrows * (len(cols) + len(labels) * LABEL_CELLS + len(indicators) / 8)
+    cols = list(cols)
+    rest = [c for c in df.columns if c not in cols and c not in labels] if duplicates else []
+    coded = [*labels, *rest]
+    flagged = [c for c in indicators if c not in cols and c not in coded]
+    cells = nrows * (len(cols) + len(rest) + len(labels) * LABEL_CELLS + len(flagged) / 8)
     if cells + sum(labels.values()) / 8 > DRIVER_CELLS:
         return None
-    strings = [f"CAST({quote(c)} AS STRING) AS {quote(c)}" for c in labels]
-    names = map(quote, fresh_names(df.columns, len(indicators)))
-    flags = [f"{m} AS {n}" for m, n in zip(missing_conditions(df, indicators), names)]
-    return finite_values(df, cols, *strings, *flags).toPandas()
+    names = fresh_names(df.columns, len(flagged))
+    # an integer beyond 2**53 is not exact as a double: the duplicate count
+    # reads integers as collected
+    dtypes = dict(df.dtypes)
+    exact = [c for c in cols if dtypes[c] in ("tinyint", "smallint", "int", "bigint")]
+    table = df.selectExpr(
+        *[quote(c) if c in exact else f"CAST({quote(c)} AS DOUBLE) AS {quote(c)}" for c in cols],
+        *[f"CAST({quote(c)} AS STRING) AS {quote(c)}" for c in labels],
+        *map(quote, rest),
+        *[f"{m} AS {quote(n)}" for m, n in zip(missing_conditions(df, flagged), names)],
+    ).toArrow()
+    n = table.num_rows
+    # one (columns × rows) block: the values frame below is a view of it
+    raw = np.empty((len(cols), n))
+    for i in range(len(cols)):
+        raw[i] = table.column(i).to_numpy()  # a null comes as NaN
+    codes = {c: _dictionary_codes(table.column(len(cols) + i)) for i, c in enumerate(coded)}
+    flags = np.empty((len(indicators), n), dtype=bool)
+    for i, c in enumerate(indicators):
+        if c in cols:
+            flags[i] = np.isnan(raw[cols.index(c)])
+        elif c in codes:
+            flags[i] = codes[c][1] < 0
+        else:
+            flags[i] = table.column(len(cols) + len(coded) + flagged.index(c)).to_numpy()
+    count = None
+    if duplicates:
+        keys = [_dictionary_codes(table.column(cols.index(c)))[1] for c in exact]
+        keys += [v for c, v in zip(cols, raw) if c not in exact]
+        count = duplicate_rows([*keys, *(k for _, k in codes.values())], n)
+    del table
+    raw[np.isinf(raw)] = np.nan
+    return Collected(
+        pd.DataFrame(raw.T, columns=cols, copy=False),
+        pd.DataFrame(flags.T, columns=list(indicators), copy=False),
+        {c: codes[c] for c in labels},
+        count,
+    )
+
+
+def _dictionary_codes(column: pa.ChunkedArray) -> tuple[pa.Array, np.ndarray]:
+    """``column``'s distinct non-null values and each row's position among them
+    (int32, −1 where null): one ``dictionary_encode``, whose chunks share one
+    dictionary."""
+    encoded = column.dictionary_encode()
+    dictionary = encoded.chunk(0).dictionary if encoded.num_chunks else pa.array([], column.type)
+    positions = pa.chunked_array([c.indices for c in encoded.chunks], pa.int32())
+    return dictionary, pc.fill_null(positions, -1).to_numpy()
+
+
+def duplicate_rows(columns: list[np.ndarray], nrows: int) -> int:
+    """Rows equal to an earlier row, each row the tuple of its values in ``columns``.
+
+    pandas ``duplicated`` semantics, by pandas' own method: each column is
+    factorized (NaN is one value, −0.0 equals 0.0, ±inf are values) and
+    the codes are combined row by row into one key, re-factorized before
+    the key could overflow.
+    """
+    key, size = np.zeros(nrows, dtype="int64"), 1
+    for v in columns:
+        codes, uniques = pd.factorize(v, use_na_sentinel=False)
+        if size * len(uniques) >= 2**62:
+            key, kept = pd.factorize(key)
+            size = len(kept)
+        key = key * len(uniques) + codes
+        size *= len(uniques)
+    return nrows - len(pd.unique(key)) if nrows else 0
+
+
+def top_labels(dictionary: pa.Array, counts: np.ndarray, limit: int) -> np.ndarray:
+    """The positions in ``dictionary`` of its ``limit`` most frequent values.
+
+    By ``counts`` descending, then value ascending: Arrow compares strings
+    byte by byte, which is Spark's UTF-8 order.
+    """
+    order = pc.sort_indices(
+        pa.table({"count": counts, "value": dictionary}),
+        sort_keys=[("count", "descending"), ("value", "ascending")],
+    )
+    return order.to_numpy()[:limit]
+
+
+def categorical_summaries(
+    collected: Collected, cols: list[str], limit: int = 1000
+) -> tuple[dict[str, dict[str, object]], dict[str, pd.Series]]:
+    """``basic_stats_pass``' categorical entries and ``value_counts_pass``' series
+    of the collected labels ``cols``.
+
+    The same keys, order and conventions: ``count``, ``nmissing``, exact
+    ``distinct``, ``len_min``, ``len_max`` and ``len_mean`` in code points
+    (``utf8_length``, Spark's ``length``), None over no value. Each series
+    holds the top ``limit`` values (``top_labels``) with exact
+    ``n_distinct`` / ``n_total`` in its attrs. The lengths and counts are
+    taken per distinct value; only the top values become Python objects.
+    """
+    stats, series = {}, {}
+    for c in cols:
+        dictionary, codes = collected.labels[c]
+        counts = np.bincount(codes[codes >= 0], minlength=len(dictionary))
+        total = int(counts.sum())
+        lengths = pc.utf8_length(dictionary).to_numpy(zero_copy_only=False)
+        stats[c] = {
+            "count": total,
+            "nmissing": codes.size - total,
+            "distinct": len(dictionary),
+            "len_min": float(lengths.min()) if total else None,
+            "len_max": float(lengths.max()) if total else None,
+            "len_mean": int(lengths.astype("int64") @ counts) / total if total else None,
+        }
+        top = top_labels(dictionary, counts, limit)
+        s = pd.Series(
+            counts[top].astype("int64"),
+            index=pd.Index(dictionary.take(top).to_pylist(), dtype=object),
+            name=c,
+        )
+        s.attrs["n_distinct"], s.attrs["n_total"] = len(dictionary), total
+        series[c] = s
+    return stats, series
 
 
 def driver_minmax(values: pd.DataFrame) -> dict[str, tuple[float | None, float | None]]:
@@ -786,12 +965,6 @@ def driver_minmax(values: pd.DataFrame) -> dict[str, tuple[float | None, float |
         c: (float(v.min()), float(v.max())) if v.notna().any() else (None, None)
         for c, v in values.items()
     }
-
-
-def missing_flags(values: pd.DataFrame, indicators: list[str]) -> pd.DataFrame:
-    """The missing flags of ``indicators`` that ``driver_values`` collected
-    after the values, labelled by their columns' names."""
-    return values.iloc[:, values.shape[1] - len(indicators):].set_axis(list(indicators), axis=1)
 
 
 def numeric_stats(
@@ -804,10 +977,10 @@ def numeric_stats(
 
     ``values`` holds the finite values of some columns (NaN where a value is
     missing or ±inf) and ``flags`` the same columns' missing flags, as
-    ``driver_values`` and ``missing_flags`` give them; ``nrows`` is the
-    frame's row total. Returns ``{column: stats}`` with the stats pass's
-    keys and conventions: ``ninfinite`` is what is neither finite nor
-    missing, None when every value is missing; a statistic over no finite
+    ``driver_values`` collects them (``Collected.values``, ``.flags``);
+    ``nrows`` is the frame's row total. Returns ``{column: stats}`` with the
+    stats pass's keys and conventions: ``ninfinite`` is what is neither
+    finite nor missing, None when every value is missing; a statistic over no finite
     value is None, skew and kurt of one value or a constant column NaN.
     ``distinct`` and the quantiles are exact where the stats pass sketches
     them: the quantile at ``p`` is ``sorted[ceil(p·n) − 1]``, the value

@@ -380,32 +380,39 @@ _DRIVER_BATCH = 2048
 
 
 def local_comoments(
-    pdf: pd.DataFrame,
+    values: pd.DataFrame,
     cols: list[str],
-    indicators: list[str] = (),
+    flags: pd.DataFrame | None = None,
     edges: Mapping[str, np.ndarray] | None = None,
     spectrum_bins: int | None = None,
 ) -> CoMoments:
-    """``comoment_scan`` of the driver-side frame ``pdf``: the same kernel, run here.
+    """``comoment_scan`` of the driver-side frame ``values``: the same kernel, run here.
 
-    ``pdf`` holds the finite values of ``cols``, then the missing flags of
-    ``indicators``, as ``compute.driver_values`` collects them. The kernel
-    takes it in batches of ``_DRIVER_BATCH`` rows; the spectrum numbers rows
-    in ``pdf``'s order, which is partition order, as one partition.
+    ``values`` holds the finite values of ``cols`` and ``flags`` the missing
+    flags of the indicators (its columns), as ``compute.driver_values``
+    collects them. The kernel takes them in batches of ``_DRIVER_BATCH``
+    rows, each batch's values and flags side by side; the spectrum numbers
+    rows in collect order, which is partition order, as one partition.
     """
-    cols, indicators = list(cols), list(indicators)
+    cols = list(cols)
+    indicators = [] if flags is None else list(flags.columns)
     bins = _kernel_bins(cols, edges)
     spectrum = None
     if spectrum_bins is not None:
-        spectrum = ({0: 0}, max(len(pdf), 1), spectrum_bins, len(cols))
-    kernel, merge = _comoment_kernel(len(cols) + len(indicators), bins, spectrum)
-    (row_id,) = compute.fresh_names(pdf.columns, 1)
+        spectrum = ({0: 0}, max(len(values), 1), spectrum_bins, len(cols))
+    m = len(cols) + len(indicators)
+    kernel, merge = _comoment_kernel(m, bins, spectrum)
+    X = values.to_numpy("float64")  # the collect's block itself, no copy
+    pos = [values.columns.get_loc(c) for c in cols]
+    flagged = flags.to_numpy() if indicators else np.empty((len(X), 0))
 
     def batches():
-        for start in range(0, len(pdf), _DRIVER_BATCH):
-            batch = pdf.iloc[start:start + _DRIVER_BATCH]
+        for start in range(0, len(X), _DRIVER_BATCH):
+            stop = min(start + _DRIVER_BATCH, len(X))
+            block = np.hstack([X[start:stop, pos], flagged[start:stop]], dtype="float64")
+            batch = pd.DataFrame(block)
             if spectrum is not None:  # a row id as the kernel reads it: position in partition 0
-                batch = batch.assign(**{row_id: np.arange(start, start + len(batch))})
+                batch[m] = np.arange(start, stop)
             yield batch
 
     with compute.single_threaded_blas():
@@ -453,14 +460,20 @@ def spearman_matrix(df: DataFrame, cols: list[str], nrows: int | None = None) ->
     """
     if len(cols) == 0:
         return pd.DataFrame()
-    pdf = compute.driver_values(df, cols, nrows)
-    return rank_scan(df, cols)[1] if pdf is None else ranked_pearson(pdf, cols)
+    collected = compute.driver_values(df, cols, nrows)
+    return rank_scan(df, cols)[1] if collected is None else ranked_pearson(collected.values, cols)
 
 
 def ranked_pearson(pdf: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
     """Spearman of ``cols`` from the driver-side finite values ``pdf``: the
-    co-moment kernel's Pearson of pandas' average ranks, as above the budget."""
-    return local_comoments(pdf[cols].rank(method="average"), cols).pearson()
+    co-moment kernel's Pearson of pandas' average ranks, as above the budget.
+
+    Ranked a column at a time into one block, so the driver holds one copy
+    of the values beside the ranks' temporaries of a single column."""
+    ranks = np.empty((len(cols), len(pdf)))
+    for i, c in enumerate(cols):
+        ranks[i] = pdf[c].rank(method="average").to_numpy()
+    return local_comoments(pd.DataFrame(ranks.T, columns=cols, copy=False), cols).pearson()
 
 
 def kendall_matrix(pdf: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
@@ -529,8 +542,10 @@ def compute_correlation(df: DataFrame, cfg: Config) -> Intermediates:
     methods = cfg["correlation.methods"]
     inter = Intermediates(task="correlation")
     inter["columns"] = cols
-    pdf = compute.driver_values(df, cols) if cols else pd.DataFrame()
-    if pdf is not None:  # below the cell budget: every method on the driver, over one collect
+    collected = compute.driver_values(df, cols) if cols else None
+    # below the cell budget: every method on the driver, over one collect
+    if collected is not None or not cols:
+        pdf = collected.values if cols else pd.DataFrame()
         size, seed = cfg["kendall.sample_size"], cfg["compute.seed"]
         inter.data.update(correlation_view(
             methods, cols, lambda: compute.drawn(pdf, size, seed),
@@ -587,8 +602,9 @@ def compute_correlation_pair(df: DataFrame, c1: str, c2: str, cfg: Config) -> In
     inter = Intermediates(task=f"correlation:{c1}:{c2}")
     inter["cols"] = (c1, c2)
     nrows = df.count()
-    pdf = compute.driver_values(df, cols, nrows)
-    if pdf is not None:  # below the cell budget: every output from the one collect
+    collected = compute.driver_values(df, cols, nrows)
+    if collected is not None:  # below the cell budget: every output from the one collect
+        pdf = collected.values
         moments = local_comoments(pdf, cols)
         mats = correlation_view(
             methods, cols, lambda: compute.drawn(pdf, cfg["kendall.sample_size"], seed),

@@ -144,10 +144,10 @@ def compute_missing_col(df: DataFrame, col1: str, cfg: Config) -> Intermediates:
         # the value counts need nothing; the histograms need the min/max
         counts_job = submit(compute.category_counts, df, cat_cols, cfg["bar.top_n"] * 10, keep)
         nrows = df.count()
-        values = compute.driver_values(df, num_cols, nrows, [col1])
-        if values is not None:  # below the cell budget: the histograms from the one collect
-            dropped = compute.missing_flags(values, [col1])[col1].to_numpy(dtype=bool)
-            edges = compute.histogram_edges(num_cols, compute.driver_minmax(values[num_cols]), bins)
+        collected = compute.driver_values(df, num_cols, nrows, [col1])
+        if collected is not None:  # below the cell budget: the histograms from the one collect
+            values, dropped = collected.values, collected.flags[col1].to_numpy()
+            edges = compute.histogram_edges(num_cols, compute.driver_minmax(values), bins)
             numeric = compute.driver_binned_counts(values, edges, ~dropped)
             n_dropped = int(dropped.sum())
         else:
@@ -199,11 +199,11 @@ def compute_missing_pair(df: DataFrame, col1: str, col2: str, cfg: Config) -> In
     if t2 is EDAType.NUMERICAL:
         minmax, totals = compute.finite_minmax(df, [col2], nrows="count(1)")
         edges = compute.histogram_edges([col2], minmax, cfg["hist.bins"])
-        values = compute.driver_values(df, [col2], totals["nrows"], [col1])
-        if values is not None:  # below the cell budget: every view from the one collect
-            kept = ~compute.missing_flags(values, [col1])[col1].to_numpy(dtype=bool)
-            counts = compute.driver_binned_counts(values, edges, kept)
-            y = values[col2].to_numpy("float64")
+        collected = compute.driver_values(df, [col2], totals["nrows"], [col1])
+        if collected is not None:  # below the cell budget: every view from the one collect
+            kept = ~collected.flags[col1].to_numpy()
+            counts = compute.driver_binned_counts(collected.values, edges, kept)
+            y = collected.values[col2].to_numpy("float64")
             finite = np.isfinite(y)
             q_before = compute.exact_quantiles(np.sort(y[finite]), compute.QUARTILES)
             q_after = compute.exact_quantiles(np.sort(y[finite & kept]), compute.QUARTILES)

@@ -5,21 +5,27 @@ per categorical column, from a fixed number of passes whatever the
 column count, each started as soon as what it needs has returned
 (``compute.in_flight``):
 
-1. ``basic_stats_pass`` of the categorical and datetime columns, one
-   melted aggregate per type class, and ``value_counts_pass`` — all
-   categorical bar charts, one melted shuffle and one action — both at
-   once, beside
-2. a row count, which picks the phase (``compute.DRIVER_CELLS``) and
-   sizes
-3. the duplicate-row count — one distinct-count job (dataset statistic);
-4. the numeric columns: below the budget one collect of their finite
-   values and missing flags, whose stats (``compute.numeric_stats``) and
-   histograms (``compute.bin_of``'s) are the report's; above it the
-   numeric stats aggregate, then ``histogram_pass`` over its min/max (the
-   "precompute metadata" stage).
+1. the gate (``compute.partition_sizes``: the row total and the
+   categorical columns' bytes), beside ``basic_stats_pass`` of the
+   datetime columns; the gate picks the phase (``compute.DRIVER_CELLS``);
+2. below the budget one Arrow collect of every column (``frame_values``):
+   the numeric stats (``compute.numeric_stats``) and histograms
+   (``compute.bin_of``'s), the categorical stats and bar charts
+   (``compute.categorical_summaries``) and the duplicate count, all the
+   report's, on the driver;
+3. when the labels do not fit the budget, the categorical stats aggregate,
+   ``value_counts_pass`` (one melted shuffle and one action) and the
+   duplicate-row count (one distinct-count job) in Spark, beside the
+   numeric collect (``label_passes``);
+4. above the budget those three, and the numeric stats aggregate, then
+   ``histogram_pass`` over its min/max (the "precompute metadata" stage).
 """
 from __future__ import annotations
 
+from concurrent.futures import Future
+from typing import Callable
+
+import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.core import compute
@@ -29,18 +35,69 @@ from repro.core.intermediates import Intermediates
 
 
 def duplicate_rows_pass(df: DataFrame, nrows: int | None = None) -> int:
-    """Number of rows minus number of distinct rows.
+    """Number of rows minus number of distinct rows, with pandas ``duplicated`` semantics.
 
     Uses ``distinct().count()`` rather than ``count_distinct(*cols)``: the
     aggregate form drops any tuple containing a NULL (SQL semantics) and
     would wildly overcount duplicates on holey data, while ``distinct``
-    treats NULLs as equal — the pandas ``duplicated`` semantics profiling
-    tools report. ``nrows`` (when known from a stats pass) avoids a second
-    count job.
+    treats NULLs as equal. It keeps NaN apart from NULL, where pandas takes
+    both as missing, so each float column goes through ``nanvl(c, NULL)``
+    first; ``distinct`` already takes −0.0 as 0.0, as pandas does. The
+    driver path counts the same (``compute.duplicate_rows``). ``nrows``
+    (when known from a stats pass) avoids a second count job.
     """
     if nrows is None:
         nrows = df.count()
-    return int(nrows) - df.distinct().count()
+    names = [(compute.quote(c), t) for c, t in df.dtypes]
+    rows = df.selectExpr(
+        *[f"nanvl({q}, NULL) AS {q}" if t in ("double", "float") else q for q, t in names]
+    )
+    return int(nrows) - rows.distinct().count()
+
+
+def label_passes(
+    submit: Callable[..., Future],
+    df: DataFrame,
+    types: dict[str, EDAType],
+    nrows: int,
+    values: compute.Collected | None,
+) -> Callable[[], tuple[dict[str, dict[str, object]], dict[str, pd.Series], int]]:
+    """The categorical stats, the value counts and the duplicate count, when called.
+
+    From the collect ``values`` when it holds every column
+    (``compute.categorical_summaries``, ``Collected.duplicates``); else the
+    categorical stats aggregate, ``value_counts_pass`` and
+    ``duplicate_rows_pass`` are submitted now, to run in Spark while the
+    caller goes on.
+    """
+    cat_cols = [c for c, t in types.items() if t is EDAType.CATEGORICAL]
+    if values is not None and values.duplicates is not None:
+        stats, counts = compute.categorical_summaries(values, cat_cols)
+        return lambda: (stats, counts, values.duplicates)
+    stats_job = submit(compute.basic_stats_pass, df, types, cat_cols) if cat_cols else None
+    counts_job = submit(compute.value_counts_pass, df, cat_cols)
+    dup_job = submit(duplicate_rows_pass, df, nrows)
+    return lambda: (
+        stats_job.result() if stats_job else {}, counts_job.result(), dup_job.result()
+    )
+
+
+def frame_values(
+    df: DataFrame, types: dict[str, EDAType], nrows: int, label_bytes: dict[str, int],
+    indicators: list[str],
+) -> compute.Collected | None:
+    """The one collect of ``create_report`` and ``plot(df)`` below the cell budget.
+
+    Every column when the labels fit (``label_bytes`` from
+    ``compute.partition_sizes``), the duplicate count with it; else the
+    numeric values and the missing flags of ``indicators`` when those fit
+    and there are any; else None.
+    """
+    num_cols = [c for c, t in types.items() if t is EDAType.NUMERICAL]
+    whole = compute.driver_values(df, num_cols, nrows, indicators, label_bytes, duplicates=True)
+    if whole is not None or not (num_cols or indicators):
+        return whole
+    return compute.driver_values(df, num_cols, nrows, indicators)
 
 
 def dataset_stats(
@@ -69,23 +126,22 @@ def compute_overview(df: DataFrame, cfg: Config) -> Intermediates:
     types = detect_types(df)
     num_cols = [c for c, t in types.items() if t is EDAType.NUMERICAL]
     cat_cols = [c for c, t in types.items() if t is EDAType.CATEGORICAL]
-    others = [c for c in types if c not in num_cols]  # categorical and datetime
+    dt_cols = [c for c, t in types.items() if t is EDAType.DATETIME]
 
     with compute.in_flight(df.sparkSession) as submit:
-        stats_job = submit(compute.basic_stats_pass, df, types, others) if others else None
-        bars_job = submit(compute.value_counts_pass, df, cat_cols) if cat_cols else None
-        # the row total sizes the duplicate count and picks the phase
-        nrows = df.count()
-        dup_job = submit(duplicate_rows_pass, df, nrows)
-        values = compute.driver_values(df, num_cols, nrows, num_cols) if num_cols else None
+        dt_job = submit(compute.basic_stats_pass, df, types, dt_cols) if dt_cols else None
+        # the gate: the row total and the labels' bytes pick the phase
+        layout, label_bytes = compute.partition_sizes(df, cat_cols)
+        nrows = sum(layout.values())
+        values = frame_values(df, types, nrows, label_bytes, num_cols)
+        categorical = label_passes(submit, df, types, nrows, values)
         if values is not None:
             # below the cell budget: the report's numeric stats and
-            # histograms, over one collect
-            flags = compute.missing_flags(values, num_cols)
-            stats = compute.numeric_stats(values[num_cols], flags, nrows)
+            # histograms, over the one collect
+            stats = compute.numeric_stats(values.values, values.flags, nrows)
             minmax = {c: (stats[c]["min"], stats[c]["max"]) for c in num_cols}
             edges = compute.histogram_edges(num_cols, minmax, cfg["hist.bins"])
-            hists = compute.driver_histograms(values, num_cols, edges)
+            hists = compute.driver_histograms(values.values, num_cols, edges)
         elif num_cols:
             # above it: the numeric stats aggregate, whose min/max give the
             # histogram job's bin edges
@@ -94,11 +150,11 @@ def compute_overview(df: DataFrame, cfg: Config) -> Intermediates:
             hists = compute.histogram_pass(df, num_cols, minmax, cfg["hist.bins"])
         else:
             stats, hists = {}, {}
-        if stats_job is not None:
-            stats.update(stats_job.result())
+        cat_stats, bars, n_dup = categorical()
+        stats.update(cat_stats)
+        if dt_job is not None:
+            stats.update(dt_job.result())
         stats = {c: stats[c] for c in types}
-        n_dup = dup_job.result()
-        bars = bars_job.result() if bars_job else {}
 
     inter = Intermediates(task="overview")
     inter["types"] = {c: t.value for c, t in types.items()}

@@ -9,10 +9,11 @@ the Compute/Render contract (intermediates in, markup out) is identical.
 from __future__ import annotations
 
 import html as _html
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 import pandas as pd
+from pandas.io.formats.format import format_array
 
 from repro.core.config import Config
 from repro.core.howto import howto_html
@@ -100,8 +101,47 @@ def _insight_list(insights: list[Insight]) -> str:
     return f'<ul class="insights">{items}</ul>'
 
 
+def html_table(
+    frame: pd.DataFrame, float_format: Callable[[float], str] | None = None, classes: str = ""
+) -> str:
+    """``frame`` as an HTML table with the cells of pandas' ``to_html(border=0)``.
+
+    A header row of the column names (their axis name in the corner), a
+    row of the index name if it has one, then a row per index label. A float
+    reads ``float_format(v)``, or pandas' own format of its column without
+    one; NaN reads ``NaN``; any other value its ``str``, escaped. One
+    string join per table, where ``to_html`` builds a formatter per call.
+    """
+
+    def esc(x: Any) -> str:
+        return _html.escape(str(x), quote=False)
+
+    def cell(x: Any) -> str:
+        if isinstance(x, float) and x != x:
+            return "NaN"
+        return float_format(x) if isinstance(x, float) and float_format else esc(x)
+
+    columns = []
+    for _, col in frame.items():
+        v = col.to_numpy()
+        if v.dtype.kind == "f" and float_format is None:
+            columns.append([t.strip() for t in format_array(v, None)])
+        else:
+            columns.append([cell(x) for x in v.tolist()])
+    head = "".join(f"<th>{esc(c)}</th>" for c in frame.columns)
+    head = f'<tr style="text-align: right;"><th>{esc(frame.columns.name or "")}</th>{head}</tr>'
+    if frame.index.name is not None:
+        head += f"<tr><th>{esc(frame.index.name)}</th>{'<th></th>' * frame.shape[1]}</tr>"
+    rows = "".join(
+        f"<tr><th>{esc(label)}</th>{''.join(f'<td>{col[i]}</td>' for col in columns)}</tr>"
+        for i, label in enumerate(frame.index)
+    )
+    table_class = " ".join(("dataframe", classes)).strip()
+    return f'<table class="{table_class}"><thead>{head}</thead><tbody>{rows}</tbody></table>'
+
+
 def _frame_table(pdf: pd.DataFrame, max_rows: int = 30) -> str:
-    return pdf.head(max_rows).to_html(border=0, classes="frame", float_format=lambda v: f"{v:.4g}")
+    return html_table(pdf.head(max_rows), lambda v: f"{v:.4g}", "frame")
 
 
 def render(inter: Intermediates, insights: list[Insight], cfg: Config) -> str:

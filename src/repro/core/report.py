@@ -14,55 +14,67 @@ per task: each pass is submitted to a driver thread (``compute.in_flight``)
 as soon as what it waits for has returned, so independent Spark jobs are
 in flight together.
 
-The row total picks the phase (paper §5.2: a big-data phase, then a
-small-data pandas phase, with a heuristic boundary). Below the cell budget
-(``compute.DRIVER_CELLS``; every Table-2 shape) the numeric passes run on
-the driver over **one collect**, in place of the numeric stats aggregate,
-a Spark sample, a Python-worker scan and a Spearman collect; above it they
-run in Spark.
+The gate picks the phase (paper §5.2: a big-data phase, then a small-data
+pandas phase, with a heuristic boundary): one job gives the rows per
+partition and the categorical columns' bytes, which price the collect.
+Below the cell budget (``compute.DRIVER_CELLS``) the report makes **one
+collect of every column** and computes everything on the driver but the
+datetime stats; when the numeric values fit and the labels do not, the
+categorical passes and the duplicate count stay in Spark; above the budget
+every pass runs in Spark.
 
 ====================================  ======================================
 pass                                  waits for
 ====================================  ======================================
-``basic_stats_pass`` of the           nothing (its type classes' aggregates
-categorical and datetime columns      run together too); none without such
-(one melted aggregate per class)      columns
-``compute.partition_rows`` (rows per  nothing
-partition)
-``value_counts_pass`` (all            nothing
-categorical bars and their exact
-totals, 1 melted shuffle, 1 action)
-duplicate-row count (1 distinct       ``partition_rows``: the row total
-count)
+``basic_stats_pass`` of the datetime  nothing; none without such columns
+columns (one melted aggregate)
+``compute.partition_sizes`` (the      nothing
+gate: rows per partition and the
+labels' UTF-8 bytes)
 *below the budget:*
-``driver_values`` (1 collect: the     ``partition_rows``: the row total
-finite numeric values and every       picks the phase
-column's missing flag)
+``driver_values`` (1 Arrow collect:   the gate: the row total and the
+every column; the finite values,      bytes pick the phase
+missing flags and duplicate count
+derived on the driver)
 on the driver, over that collect:     the collect only
-``numeric_stats`` (every numeric
-stat, exact quantiles and distinct
-counts), then ``local_comoments``
-(the co-moment kernel: Pearson,
-every numeric histogram over the
-stats' min/max, nullity
-correlation, exact missing spectrum
-in collect order), Spearman, a
-seeded numpy sample (KDE, Kendall)
-and the interactions over every row
+``categorical_summaries`` (the
+categorical stats, distinct exact,
+and the value counts), the duplicate
+count, ``numeric_stats`` (every
+numeric stat, exact quantiles and
+distinct counts), then
+``local_comoments`` (the co-moment
+kernel: Pearson, every numeric
+histogram over the stats' min/max,
+nullity correlation, exact missing
+spectrum in collect order),
+Spearman, a seeded numpy sample
+(KDE, Kendall) and the interactions
+over every row
+*when only the labels do not fit,     the gate
+also:* the categorical stats
+aggregate, ``value_counts_pass`` (1
+melted shuffle, 1 action) and the
+duplicate-row count (1 distinct
+count), in flight beside the
+driver's work
 *above the budget:*
-``basic_stats_pass`` of the numeric   ``partition_rows``: the row total
-columns (every stat and the           picks the phase
+the categorical stats aggregate,      the gate
+``value_counts_pass`` and the
+duplicate-row count, as above
+``basic_stats_pass`` of the numeric   the gate: the row total picks the
+columns (every stat and the           phase
 stats+box+Q-Q quantile sketch)
-``finite_sample`` (one seeded         ``partition_rows``: the row total
-Spark sample of the numeric columns   sizes the sampling fraction
+``finite_sample`` (one seeded         the gate: the row total sizes the
+Spark sample of the numeric columns   sampling fraction
 for KDE, Kendall and the
 interactions)
-Spearman (distributed rank +          ``partition_rows``
+Spearman (distributed rank +          the gate
 co-moment scan)
 ``comoment_scan`` (the same kernel    the numeric stats (min/max give the
-as 1 Python scan)                     bin edges) and ``partition_rows``
-                                      (the offsets number the rows): the
-                                      paper's precompute-metadata stage
+as 1 Python scan)                     bin edges) and the gate (the offsets
+                                      number the rows): the paper's
+                                      precompute-metadata stage
 Kendall and the interactions          the sample; they run on the driver
                                       while the scan is in flight
 ====================================  ======================================
@@ -86,8 +98,8 @@ from repro.core.dtypes import EDAType, detect_types
 from repro.core.insights import correlation_insights, dataset_insights, univariate_insights
 from repro.core.intermediates import EDAResult, Insight, Intermediates
 from repro.core.missing import missing_view
-from repro.core.overview import dataset_stats, duplicate_rows_pass
-from repro.core.render import render_report, stats_table, svg_bars, svg_line
+from repro.core.overview import dataset_stats, frame_values, label_passes
+from repro.core.render import html_table, render_report, stats_table, svg_bars, svg_line
 from repro.core.univariate import categorical_view, numerical_view, quantile_probs, sample_rows
 
 
@@ -101,32 +113,32 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
     size = sample_rows(cfg)
 
     # -- Spark Computation phase: the pass graph -------------------------
-    others = [c for c in types if c not in num_cols]  # categorical and datetime
+    dt_cols = [c for c, t in types.items() if t is EDAType.DATETIME]
     probs = quantile_probs(cfg)
     with compute.in_flight(df.sparkSession) as submit:
-        # nothing to wait for
-        stats_job = submit(compute.basic_stats_pass, df, types, others) if others else None
-        layout_job = submit(compute.partition_rows, df)
-        value_counts_job = submit(compute.value_counts_pass, df, cat_cols)
-        # the row total sizes the duplicate count and picks the phase
-        layout = layout_job.result()
+        # nothing to wait for: the datetime stats, at any size
+        dt_job = submit(compute.basic_stats_pass, df, types, dt_cols) if dt_cols else None
+        # the gate: the row total and the labels' bytes pick the phase
+        layout, label_bytes = compute.partition_sizes(df, cat_cols)
         nrows = sum(layout.values())
-        duplicates_job = submit(duplicate_rows_pass, df, nrows)
-        values = compute.driver_values(df, num_cols, nrows, df.columns)
+        values = frame_values(df, types, nrows, label_bytes, df.columns)
+        # the categorical stats, value counts and duplicate count: from the
+        # collect when it holds every column, else in flight in Spark
+        categorical = label_passes(submit, df, types, nrows, values)
         if values is not None:
             # below the cell budget: one collect, and the numeric stats, the
             # co-moment kernel (Pearson, histograms, nullity, missing
             # spectrum), Spearman, the sample and the interactions run on it
-            # here while the Spark passes are in flight
-            flags = compute.missing_flags(values, df.columns)
-            stats = compute.numeric_stats(values[num_cols], flags[num_cols], nrows, probs)
+            # here, while any Spark pass is in flight
+            finite = values.values
+            stats = compute.numeric_stats(finite, values.flags, nrows, probs)
             minmax = {c: (stats[c]["min"], stats[c]["max"]) for c in num_cols}
             edges = compute.histogram_edges(num_cols, minmax, bins)
-            moments = local_comoments(values, num_cols, df.columns, edges, segments)
+            moments = local_comoments(finite, num_cols, values.flags, edges, segments)
             scan = lambda: moments  # the co-moments; a Future's result above the budget
-            spearman = lambda: ranked_pearson(values, num_cols)
-            sample = compute.drawn(values, size, seed)[num_cols]
-            rows = values  # the interactions bin every row
+            spearman = lambda: ranked_pearson(finite, num_cols)
+            sample = compute.drawn(finite, size, seed)
+            rows = finite  # the interactions bin every row
         else:
             # above it: the numeric stats aggregate, a seeded Spark sample,
             # the distributed rank and one co-moment scan, whose bin edges
@@ -150,11 +162,11 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
             lambda: scan().pearson(), spearman,
         )
         moments = scan()
-        if stats_job is not None:
-            stats.update(stats_job.result())
+        cat_stats, value_counts, n_dup = categorical()
+        stats.update(cat_stats)
+        if dt_job is not None:
+            stats.update(dt_job.result())
         stats = {c: stats[c] for c in types}
-        value_counts = value_counts_job.result()
-        n_dup = duplicates_job.result()
     quantiles = {c: stats[c].pop("quantiles") for c in num_cols}
     hists = {c: moments.hists.get(c, compute.NO_HISTOGRAM) for c in num_cols}
 
@@ -208,18 +220,18 @@ def _render_sections(inter: Intermediates, cfg: Config) -> dict[str, str]:
         var_html.append("".join(parts))
     sections["Variables"] = "".join(var_html)
     sections["Interactions"] = "".join(
-        f"<h3>{a} × {b}</h3>" + grid.head(20).to_html(border=0)
+        f"<h3>{a} × {b}</h3>" + html_table(grid.head(20))
         for (a, b), grid in inter["interactions"].items()
     )
     sections["Correlations"] = "".join(
-        f"<h3>{m}</h3>" + mat.to_html(border=0, float_format=lambda v: f"{v:.3f}")
+        f"<h3>{m}</h3>" + html_table(mat, lambda v: f"{v:.3f}")
         for m, mat in inter["correlations"].items()
     )
     miss = inter["missing"]
     sections["Missing Values"] = (
         svg_bars(miss["bar"], w, h, [str(i) for i in miss["bar"].index])
-        + miss["spectrum"].head(40).to_html(border=0)
-        + miss["nullity_corr"].to_html(border=0)
+        + html_table(miss["spectrum"].head(40))
+        + html_table(miss["nullity_corr"])
     )
     return sections
 

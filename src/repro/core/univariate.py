@@ -137,10 +137,10 @@ def compute_numerical(df: DataFrame, col: str, cfg: Config) -> Intermediates:
     """
     probs, bins = quantile_probs(cfg), cfg["hist.bins"]
     nrows = df.count()
-    values = compute.driver_values(df, [col], nrows, [col])
-    if values is not None:
-        flags = compute.missing_flags(values, [col])
-        stats = compute.numeric_stats(values[[col]], flags, nrows, probs)[col]
+    collected = compute.driver_values(df, [col], nrows, [col])
+    if collected is not None:
+        values = collected.values
+        stats = compute.numeric_stats(values, collected.flags, nrows, probs)[col]
         edges = compute.histogram_edges([col], {col: (stats["min"], stats["max"])}, bins)
         hist = compute.driver_histograms(values, [col], edges)[col]
         sample = compute.drawn(values, sample_rows(cfg), cfg["compute.seed"])[col]
@@ -244,14 +244,24 @@ def categorical_view(
 def compute_categorical(df: DataFrame, col: str, cfg: Config) -> Intermediates:
     """Intermediates for univariate analysis of a categorical column.
 
-    The stats pass, the value counts and the word counts run together.
+    The word counts run in Spark beside the gate (``compute.partition_sizes``:
+    the row total and the column's bytes), which picks the phase. Below the
+    cell budget one collect of the column gives the stats and the value
+    counts on the driver (``compute.categorical_summaries``, the report's);
+    above it the stats pass and the value counts run in Spark.
     """
-    with compute.in_flight(df.sparkSession) as submit:  # three independent passes
-        stats_job = submit(compute.basic_stats_pass, df, {col: EDAType.CATEGORICAL})
-        counts_job = submit(compute.value_counts_pass, df, [col])
-        words = word_frequency_pass(df, col, cfg["wordfreq.top_n"])
-        stats, value_counts = stats_job.result()[col], counts_job.result()[col]
-    return categorical_view(col, stats, value_counts, cfg, words)
+    with compute.in_flight(df.sparkSession) as submit:
+        words_job = submit(word_frequency_pass, df, col, cfg["wordfreq.top_n"])
+        layout, nbytes = compute.partition_sizes(df, [col])
+        values = compute.driver_values(df, [], sum(layout.values()), labels=nbytes)
+        if values is not None:
+            stats, counts = compute.categorical_summaries(values, [col])
+        else:
+            counts_job = submit(compute.value_counts_pass, df, [col])
+            stats = compute.basic_stats_pass(df, {col: EDAType.CATEGORICAL})
+            counts = counts_job.result()
+        words = words_job.result()
+    return categorical_view(col, stats[col], counts[col], cfg, words)
 
 
 def compute_univariate(df: DataFrame, col: str, cfg: Config) -> Intermediates:

@@ -44,15 +44,20 @@ def test_every_job_runs_under_the_callers_group(spark, titanic, call):
 
 
 def test_a_failing_pass_raises_its_error(titanic, monkeypatch):
-    error = ValueError("value counts failed")
+    """The gate at the default budget; the value counts, which run in
+    flight only in Spark, at a budget of 0."""
+    for name, budget in (("partition_sizes", compute.DRIVER_CELLS), ("value_counts_pass", 0)):
+        error = ValueError(f"{name} failed")
 
-    def fail(*args, **kwargs):
-        raise error
+        def fail(*args, **kwargs):
+            raise error
 
-    monkeypatch.setattr(compute, "value_counts_pass", fail)
-    with pytest.raises(ValueError) as raised:
-        create_report(titanic)
-    assert raised.value is error
+        with monkeypatch.context() as m:
+            m.setattr(compute, name, fail)
+            m.setattr(compute, "DRIVER_CELLS", budget)
+            with pytest.raises(ValueError) as raised:
+                create_report(titanic)
+        assert raised.value is error, name
 
 
 @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())

@@ -1,9 +1,9 @@
 """The report's phase boundary (paper §5.2).
 
-Below the cell budget ``create_report`` collects the numeric values and
-every column's missing flag once and runs the numeric stats, the co-moment
-kernel, Spearman, the shared sample and the interactions on the driver;
-above it (here a budget of 0) they run in Spark. Both paths must give the
+Below the cell budget ``create_report`` collects every column once and runs
+the numeric stats, the co-moment kernel, Spearman, the shared sample, the
+interactions, the categorical stats, the value counts and the duplicate
+count on the driver; above it (here a budget of 0) they run in Spark. Both paths must give the
 same counts, min/max, quantiles, histograms, spectrum and missing counts
 exactly, and the same Pearson, nullity and Spearman to 1e-12. The moments
 (sum, mean, std, skew, kurt) come from two passes over the collect on one
@@ -16,8 +16,13 @@ its Pearson: the two paths round the deviations differently below the
 offset's ulp; its sum and mean keep 1e-12. Numeric ``distinct`` is exact
 on the driver path (checked against pandas) and an HLL estimate in Spark
 (``test_compute``'s bound). The sample is a seeded numpy draw on the
-driver path, checked against pandas on the same draw. ``plot(df)`` and
-``plot(df, c)`` cross the same boundary and are held to the same rules.
+driver path, checked against pandas on the same draw. The categorical
+stats, value counts (their order too) and the duplicate count are exact on
+both paths, the duplicate count equal to pandas' ``duplicated``; the mean
+label length agrees to 1e-12 relative, and categorical ``distinct`` is
+exact on the driver path (pandas' ``nunique``) and an HLL estimate in
+Spark. ``plot(df)`` and ``plot(df, c)`` cross the same boundary and are
+held to the same rules.
 So do the pair tasks (``plot(df, x, y)``, ``plot_missing(df, c1[, c2])``
 and the correlation pair): their hexbins, lines, top groups, before/after
 counts and box quartiles are equal on both paths, their scatter and
@@ -32,6 +37,7 @@ from repro.core import (
     compute, correlation, create_report, plot, plot_correlation, plot_missing, report,
 )
 from repro.core.config import Config
+from repro.core.overview import duplicate_rows_pass
 from repro.substrate import numutils
 
 from .test_binning_scan import FRAMES, _mixed
@@ -69,10 +75,47 @@ def _adversarial(spark):
     )
 
 
+#: the labels of ``_categorical``'s ``word``: non-ASCII (a combining
+#: accent, a dotted capital I, an emoji), the empty string, and None
+WORDS = ["é", "İ", "😀", "", "a", "Z", "e\u0301", None]
+
+
+def _categorical(spark):
+    """Labels against the Spark path's rules, in 3 partitions: non-ASCII
+    values and the empty string, an all-null string column, a boolean, a
+    datetime, 1,200 values of 2 rows each (ties across the 1,000-value cut
+    of the value counts), and every row twice, the second time with a NaN
+    where the first has a null and −0.0 where it has 0.0: 1,200 duplicate
+    rows for pandas."""
+    n = 1200
+    i = np.arange(2 * n) % n
+    pdf = pd.DataFrame({
+        "id": np.arange(2 * n),
+        "word": [WORDS[k % len(WORDS)] for k in i],
+        "many": [f"v{k}" for k in i],
+        "none": None,
+        "flag": [(True, False, None)[k % 3] for k in i],
+        "x": [None if k % 4 == 0 else float(k % 3) for k in i],
+        "when": [None if k % 5 == 0 else pd.Timestamp("2020-01-01") + pd.Timedelta(days=k % 5) for k in i],
+    })
+    schema = "id long, word string, many string, none string, flag boolean, x double, when timestamp"
+    second = f"id >= {n}"
+    return (
+        spark.createDataFrame(pdf, schema)
+        .withColumn("x", F.expr(
+            f"CASE WHEN {second} AND x IS NULL THEN CAST('NaN' AS DOUBLE) "
+            f"WHEN {second} AND x = 0 THEN CAST('-0.0' AS DOUBLE) ELSE x END"
+        ))
+        .drop("id")
+        .repartition(3)
+    )
+
+
 CASES = {
     **{name: make for name, (make, _) in FRAMES.items()},
     "cached7": lambda s: s.createDataFrame(_mixed(1000)).repartition(7),
     "adversarial": _adversarial,
+    "categorical": _categorical,
 }
 
 
@@ -108,13 +151,21 @@ def _moment_tol(c: str, k: str) -> tuple[float, float]:
 
 def _assert_stats_agree(c, got, want, finite: pd.Series):
     """``got`` (driver path) against ``want`` (Spark): exact but for the
-    moments and, in a numeric column, ``distinct``, checked against pandas'
-    ``nunique`` of the column's ``finite`` values."""
-    if "mean" not in want:  # categorical or datetime: the same Spark pass
+    moments, a categorical column's mean label length and ``distinct``,
+    checked against pandas' ``nunique`` of the column's ``finite`` values."""
+    if "min_ts" in want:  # datetime: the same Spark pass on both paths
         assert _same(got, want), c
         return
     assert list(got) == list(want), c
     assert got["distinct"] == finite.nunique(), c
+    if "len_mean" in want:  # categorical
+        exact = [k for k in want if k not in ("distinct", "len_mean")]
+        assert _same({k: got[k] for k in exact}, {k: want[k] for k in exact}), c
+        if want["len_mean"] is None:
+            assert got["len_mean"] is None, c
+        else:
+            np.testing.assert_allclose(got["len_mean"], want["len_mean"], rtol=ATOL, err_msg=c)
+        return
     exact = [k for k in want if k not in MOMENTS and k != "distinct"]
     assert _same({k: got[k] for k in exact}, {k: want[k] for k in exact}), c
     for k in MOMENTS:
@@ -128,7 +179,8 @@ def _assert_stats_agree(c, got, want, finite: pd.Series):
 
 
 def _assert_paths_agree(df, below, above):
-    finite = df.toPandas().replace([np.inf, -np.inf], np.nan)
+    rows = df.toPandas()
+    finite = rows.replace([np.inf, -np.inf], np.nan)
     for c, sub in above["variables"].items():
         _assert_stats_agree(c, below["variables"][c]["stats"], sub["stats"], finite[c])
         if "hist" in sub:
@@ -137,6 +189,8 @@ def _assert_paths_agree(df, below, above):
                     below["variables"][c]["hist"][k], sub["hist"][k], err_msg=c
                 )
     assert below["dataset_stats"] == above["dataset_stats"]
+    assert below["dataset_stats"]["n_duplicate_rows"] == rows.duplicated().sum()
+    _assert_value_counts_equal(below["value_counts"], above["value_counts"])
     for k in ("bar", "missing_rate"):
         pd.testing.assert_series_equal(below["missing"][k], above["missing"][k], check_exact=True)
     pd.testing.assert_frame_equal(
@@ -153,6 +207,14 @@ def _assert_paths_agree(df, below, above):
                 got.loc[cols, cols].to_numpy("float64"), want.loc[cols, cols].to_numpy("float64"),
                 rtol=0, atol=atol, equal_nan=True, err_msg=what,
             )
+
+
+def _assert_value_counts_equal(got: dict, want: dict):
+    """The same columns, values, counts, order and exact totals."""
+    assert list(got) == list(want)
+    for c, counts in want.items():
+        pd.testing.assert_series_equal(got[c], counts, check_exact=True)
+        assert got[c].attrs == counts.attrs, c
 
 
 @pytest.mark.parametrize("make", CASES.values(), ids=CASES.keys())
@@ -174,17 +236,20 @@ def _plot_both_paths(df, monkeypatch, *args):
 
 
 def _frame(request, name):
-    return request.getfixturevalue("titanic") if name == "titanic" else _adversarial(
-        request.getfixturevalue("spark")
-    )
+    if name == "titanic":
+        return request.getfixturevalue("titanic")
+    make = _categorical if name == "categorical" else _adversarial
+    return make(request.getfixturevalue("spark"))
 
 
-@pytest.mark.parametrize("name", ["titanic", "adversarial"])
+@pytest.mark.parametrize("name", ["titanic", "adversarial", "categorical"])
 def test_overview_driver_path_equals_distributed_path(request, monkeypatch, name):
-    """``plot(df)``: the stats, histograms and dataset statistics of both paths."""
+    """``plot(df)``: the stats, histograms, value counts and dataset
+    statistics of both paths."""
     df = _frame(request, name)
     below, above = _plot_both_paths(df, monkeypatch)
-    finite = df.toPandas().replace([np.inf, -np.inf], np.nan)
+    rows = df.toPandas()
+    finite = rows.replace([np.inf, -np.inf], np.nan)
     assert list(below["col_stats"]) == list(above["col_stats"])
     for c, want in above["col_stats"].items():
         _assert_stats_agree(c, below["col_stats"][c], want, finite[c])
@@ -193,9 +258,8 @@ def test_overview_driver_path_equals_distributed_path(request, monkeypatch, name
         np.testing.assert_array_equal(below["hists"][c][0], counts, err_msg=c)
         np.testing.assert_array_equal(below["hists"][c][1], edges, err_msg=c)
     assert below["dataset_stats"] == above["dataset_stats"]
-    assert below["value_counts"].keys() == above["value_counts"].keys()
-    for c, counts in above["value_counts"].items():
-        pd.testing.assert_series_equal(below["value_counts"][c], counts, check_exact=True)
+    assert below["dataset_stats"]["n_duplicate_rows"] == rows.duplicated().sum()
+    _assert_value_counts_equal(below["value_counts"], above["value_counts"])
 
 
 UNIVARIATE = {
@@ -224,6 +288,27 @@ def test_univariate_driver_path_equals_distributed_path(request, monkeypatch, na
     )
     box = [k for k in above["box"] if k != "n_outliers_est"]
     assert _same({k: below["box"][k] for k in box}, {k: above["box"][k] for k in box})
+
+
+CATEGORICAL = {"titanic": ["cat_0", "cat_1"], "categorical": ["word", "many", "none", "flag"]}
+
+
+@pytest.mark.parametrize(
+    "name, col", [(n, c) for n, cols in CATEGORICAL.items() for c in cols]
+)
+def test_univariate_categorical_driver_path_equals_distributed_path(
+    request, monkeypatch, name, col
+):
+    """``plot(df, c)`` of a categorical column: stats, value counts, bar and
+    pie of both paths. The word counts run in Spark on both."""
+    df = _frame(request, name)
+    below, above = _plot_both_paths(df, monkeypatch, col)
+    assert below["nrows"] == above["nrows"]
+    _assert_stats_agree(col, below["stats"], above["stats"], df.select(col).toPandas()[col])
+    _assert_value_counts_equal({col: below["value_counts"]}, {col: above["value_counts"]})
+    for k in ("bar", "pie"):
+        pd.testing.assert_series_equal(below[k], above[k], check_exact=True)
+    assert below["words"]["word_counts"].equals(above["words"]["word_counts"])
 
 
 def test_constant_column_moments_agree_above_the_budget(spark, monkeypatch):
@@ -292,10 +377,119 @@ def test_overview_numeric_stats_and_histograms_equal_the_reports(titanic):
 def test_above_the_budget_the_sample_and_scan_jobs_run(spark, titanic, monkeypatch):
     """Budget 0: the numeric stats aggregate, the Spark sample, the
     co-moment scan and the distributed Spearman rank replace the one
-    collect: 16 jobs where ``test_report_composition.PINNED_JOBS`` has 11
+    collect: 16 jobs where ``test_report_composition.PINNED_JOBS`` has 3
     below the budget."""
     monkeypatch.setattr(compute, "DRIVER_CELLS", 0)
     assert _jobs(spark, lambda: create_report(titanic)) == 16
+
+
+def test_duplicate_rows_take_null_and_nan_as_one_value(spark, monkeypatch):
+    """pandas' ``duplicated`` takes a null and a NaN as one value, and 0.0
+    and −0.0 too: two of these six rows repeat an earlier one, on both paths
+    of the report and of ``plot(df)`` and in ``duplicate_rows_pass``."""
+    df = spark.sql(
+        "SELECT * FROM VALUES (CAST(NULL AS DOUBLE), 'a'), (CAST('NaN' AS DOUBLE), 'a'), "
+        "(0.0D, 'b'), (CAST('-0.0' AS DOUBLE), 'b'), (CAST('Infinity' AS DOUBLE), 'c'), "
+        "(CAST('-Infinity' AS DOUBLE), 'c') AS t(x, s)"
+    )
+    assert df.toPandas().duplicated().sum() == 2
+    assert duplicate_rows_pass(df) == 2
+    for budget in (compute.DRIVER_CELLS, 0):
+        monkeypatch.setattr(compute, "DRIVER_CELLS", budget)
+        assert create_report(df).intermediates["dataset_stats"]["n_duplicate_rows"] == 2, budget
+        assert plot(df).intermediates["dataset_stats"]["n_duplicate_rows"] == 2, budget
+
+
+def test_duplicate_rows_keep_integers_exact(spark, monkeypatch):
+    """2**53 and 2**53 + 1 are one double but two integers: no duplicate
+    on either path, as in pandas."""
+    df = spark.sql("SELECT * FROM VALUES (9007199254740992L, 'a'), (9007199254740993L, 'a') AS t(n, s)")
+    assert df.toPandas().duplicated().sum() == 0
+    for budget in (compute.DRIVER_CELLS, 0):
+        monkeypatch.setattr(compute, "DRIVER_CELLS", budget)
+        assert create_report(df).intermediates["dataset_stats"]["n_duplicate_rows"] == 0, budget
+        assert plot(df).intermediates["dataset_stats"]["n_duplicate_rows"] == 0, budget
+
+
+def test_duplicate_rows_equal_pandas():
+    """``compute.duplicate_rows`` over raw doubles and dictionary codes is
+    pandas' ``duplicated`` of the same rows, key overflow included."""
+    g = np.random.default_rng(17)
+    for ncols, card in ((3, 3), (40, 4), (6, 50)):
+        values = g.integers(0, card, size=(ncols, 500)).astype("float64")
+        values[values == 0] = np.nan
+        values[values == 1] = -0.0
+        values[values == 2] = np.inf
+        codes = g.integers(-1, card, size=500).astype("int32")
+        pdf = pd.DataFrame({**{f"v{i}": v for i, v in enumerate(values)}, "c": codes})
+        want = int(pdf.duplicated().sum())
+        assert compute.duplicate_rows([*values, codes], 500) == want, (ncols, card)
+    assert compute.duplicate_rows([], 0) == 0
+
+
+@pytest.mark.parametrize("name", ["titanic", "categorical"])
+def test_below_the_budget_no_categorical_job(request, monkeypatch, name):
+    """When the labels fit, the report and ``plot(df)`` take the categorical
+    stats, value counts and duplicate count from the one collect: no stats
+    aggregate but the datetime one, no value count and no ``distinct``."""
+    from pyspark.sql import DataFrame
+
+    df = _frame(request, name)
+    melted = compute._melted_stats
+
+    def datetime_only(df, cols, cast, aggs):
+        assert cast == "timestamp", f"a {cast} stats aggregate ran over {cols}"
+        return melted(df, cols, cast, aggs)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a Spark pass the driver path replaces ran")
+
+    monkeypatch.setattr(compute, "_melted_stats", datetime_only)
+    monkeypatch.setattr(compute, "category_counts", fail)
+    monkeypatch.setattr(DataFrame, "distinct", fail)
+    create_report(df)
+    plot(df)
+
+
+def test_labels_over_the_budget_take_the_spark_passes(spark, monkeypatch):
+    """A label costs ``LABEL_CELLS`` plus its bytes / 8 in the budget. 300
+    rows of two values, a short label and a 600-byte text are 675 cells
+    with their flags and no labels, over 25,000 with the labels: at a
+    budget of 2,000 the numeric values come to the driver and the
+    categorical stats, value counts and duplicate count run in Spark, and
+    the report and ``plot(df)`` equal the whole-frame collect's."""
+    g = np.random.default_rng(18)
+    n = 300
+    pdf = pd.DataFrame({
+        "x": g.normal(size=n),
+        "y": g.choice([1.0, 2.0, np.nan], n),
+        "cat": g.choice(["p", "q", None], n).astype(object),
+        "text": [str(i % 11) + "x" * 599 for i in range(n)],
+    })
+    pdf = pd.concat([pdf.iloc[: n - 40], pdf.iloc[:40]], ignore_index=True)  # 40 repeats
+    df = spark.createDataFrame(pdf).repartition(3)
+    df.cache().count()
+    passes, value_counts = [], compute.value_counts_pass
+
+    def spy(*args, **kwargs):
+        passes.append(args[1])
+        return value_counts(*args, **kwargs)
+
+    monkeypatch.setattr(compute, "value_counts_pass", spy)
+    try:
+        whole = create_report(df).intermediates, plot(df).intermediates
+        assert passes == []
+        monkeypatch.setattr(compute, "DRIVER_CELLS", 2_000)
+        split = create_report(df).intermediates, plot(df).intermediates
+    finally:
+        df.unpersist()
+    assert passes == [["cat", "text"]] * 2
+    _assert_paths_agree(df, whole[0], split[0])
+    assert whole[0]["dataset_stats"]["n_duplicate_rows"] == 40
+    for c, want in split[1]["col_stats"].items():
+        _assert_stats_agree(c, whole[1]["col_stats"][c], want, pdf[c])
+    assert whole[1]["dataset_stats"] == split[1]["dataset_stats"]
+    _assert_value_counts_equal(whole[1]["value_counts"], split[1]["value_counts"])
 
 
 def _bins(v: np.ndarray, finite: np.ndarray, gs: int) -> np.ndarray:
@@ -521,8 +715,8 @@ def test_num_cat_top_groups_break_ties_by_value(spark, monkeypatch):
 
 def test_num_cat_prices_a_label_by_its_bytes(spark, monkeypatch):
     """A collected label costs ``LABEL_CELLS`` plus its bytes / 8 in the
-    budget. 200 rows of a value and a 600-byte label are 1,800 cells before
-    the bytes and 16,800 with them: a budget of 2,000 takes the Spark path,
+    budget. 200 rows of a value and a 600-byte label are 1,000 cells before
+    the bytes and 16,000 with them: a budget of 2,000 takes the Spark path,
     one of 20,000 the driver path, and both give the same answer."""
     g = np.random.default_rng(15)
     n = 200

@@ -1,10 +1,12 @@
 """Tests for the Render module (intermediates → HTML/SVG layout)."""
+import re
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core.config import Config
-from repro.core.render import render_report, stats_table, svg_bars, svg_line
+from repro.core.render import html_table, render_report, stats_table, svg_bars, svg_line
 
 
 class TestSvgBars:
@@ -82,3 +84,25 @@ def test_render_report_insight_list():
 def test_jupyter_repr_hook(overview_result):
     assert overview_result._repr_html_() == overview_result.html
     assert overview_result.show() == overview_result.html
+
+
+def _cells(html: str) -> list[str]:
+    return [c.strip() for c in re.findall(r"<t[hd](?:\s[^>]*)?>(.*?)</t[hd]>", html, re.S)]
+
+
+@pytest.mark.parametrize("float_format", [None, lambda v: f"{v:.3f}"])
+def test_html_table_cells_equal_pandas(float_format):
+    """The same header, index and cell text as ``to_html(border=0)``: ints,
+    floats in pandas' own format or ``float_format``, NaN, escaped strings,
+    None, an axis name and an index name."""
+    frame = pd.DataFrame({
+        "n": np.array([3, 40], dtype="int32"),
+        "rate": [1 / 12, np.nan],
+        "tiny": [1e-9, 2.5],
+        "s": ["a<b & c", None],
+    }, index=pd.Index(["x", "y"], name="row"))
+    frame.columns.name = "col"
+    for table in (frame, frame.rename_axis(index=None, columns=None)):
+        assert _cells(html_table(table, float_format)) == _cells(
+            table.to_html(border=0, float_format=float_format)
+        )
