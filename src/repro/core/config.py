@@ -33,7 +33,7 @@ DEFAULTS: dict[str, tuple[Any, str]] = {
     "boxnum.bins": (10, "Number of x-bins for the binned (NN) box plot."),
     "spectrum.bins": (20, "Number of row segments in the missing spectrum."),
     "correlation.methods": (("pearson", "spearman", "kendall"), "Correlation methods to compute."),
-    "kendall.sample_size": (2_000, "Row cap for the exact Kendall tau-b kernel (O(n^2))."),
+    "kendall.sample_size": (2_000, "Row cap for the exact Kendall tau-b kernel (O(n log n) per pair)."),
     # -- insight thresholds (paper §4.2.2: each insight has its own threshold) --
     "insight.missing.threshold": (0.01, "Fraction of missing cells to flag a column."),
     "insight.duplicates.threshold": (0.01, "Fraction of duplicate rows to flag the dataset."),

@@ -27,9 +27,10 @@ Fusion strategy:
   per-pair re-ranking (documented in DESIGN.md).
 * Kendall — exact tau-b on a seeded, size-capped sample (a numpy draw
   from the collect below the budget, ``compute.drawn``; a Spark sample
-  above it) via the ``substrate.numutils``
-  kernel (scipy-free). Precomputed condensed sign
-  arrays make the m×m matrix O(m·k² + m²·pairs) instead of O(m²·k²).
+  above it) via the ``substrate.numutils`` kernel (scipy-free): Knight's
+  O(k log k) tau-b, each pair over its own finite rows (pairwise-complete
+  like ``pandas.DataFrame.corr``), the m×m matrix's pairs batched in
+  chunks so the driver holds one chunk, not k² signs.
 
 Every caller maps methods to matrices through ``correlation_view``.
 """
@@ -477,32 +478,10 @@ def ranked_pearson(pdf: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
 
 
 def kendall_matrix(pdf: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
-    """Exact tau-b matrix over a (sampled) pandas frame.
-
-    Rows with any NaN are dropped once (complete-case) so per-column sign
-    arrays can be shared across all pairs; when fewer than 50 complete rows
-    survive, falls back to pairwise-complete ``kendall_tau`` per pair.
-    """
-    mat = pd.DataFrame(np.eye(len(cols)), index=cols, columns=cols)
-    if len(cols) < 2:
-        return mat
-    data = pdf[cols].astype("float64")
-    complete = data.dropna()
-    if len(complete) >= 50 or complete.shape[0] == data.shape[0]:
-        if len(complete) < 2:
-            mat.iloc[:, :] = np.nan
-            np.fill_diagonal(mat.values, 1.0)
-            return mat
-        signs = {c: numutils.condensed_signs(complete[c].to_numpy()) for c in cols}
-        for i, a in enumerate(cols):
-            for b in cols[i + 1:]:
-                mat.loc[a, b] = mat.loc[b, a] = numutils.tau_b(signs[a], signs[b])
-    else:
-        for i, a in enumerate(cols):
-            for b in cols[i + 1:]:
-                tau = numutils.kendall_tau(data[a].to_numpy(), data[b].to_numpy())
-                mat.loc[a, b] = mat.loc[b, a] = tau
-    return mat
+    """Exact tau-b matrix over a (sampled) pandas frame: ``numutils.kendall_taus``,
+    each pair over its own finite rows (pairwise-complete)."""
+    taus = numutils.kendall_taus(pdf[cols].astype("float64").to_numpy())
+    return pd.DataFrame(taus, index=cols, columns=cols)
 
 
 Frame = Callable[[], pd.DataFrame]

@@ -1,7 +1,7 @@
 """Substrates the paper depends on but that are not available here.
 
 ``numutils``  — numpy kernels replacing scipy (inverse normal CDF, KDE,
-                Kendall tau-b, uniformity statistic).
+                Knight's O(n log n) Kendall tau-b, uniformity statistic).
 ``cluster``   — agglomerative hierarchical clustering + dendrogram linkage,
                 replacing scipy.cluster for the nullity dendrogram.
 

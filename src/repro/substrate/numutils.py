@@ -12,9 +12,8 @@ __all__ = [
     "norm_ppf",
     "norm_pdf",
     "gaussian_kde",
-    "condensed_signs",
-    "tau_b",
     "kendall_tau",
+    "kendall_taus",
     "ks_distance",
     "total_variation",
     "uniformity_pvalue_stat",
@@ -72,12 +71,18 @@ def norm_ppf(p: np.ndarray | float) -> np.ndarray | float:
     return out[0] if scalar else out
 
 
+#: grid × sample cells one block of ``gaussian_kde`` holds per array
+_KDE_CELLS = 1 << 15
+
+
 def gaussian_kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float | None = None) -> np.ndarray:
     """Gaussian kernel density estimate of ``samples`` evaluated on ``grid``.
 
     Bandwidth defaults to Scott's rule (``n**(-1/5) * std``), matching the
     scipy default the paper's KDE plot relies on. Vectorized O(n·g) —
-    intended for sampled/driver-side data only.
+    intended for sampled/driver-side data only. The grid runs in blocks of
+    rows of about ``_KDE_CELLS`` grid × sample cells; each grid point's mean
+    is the same as over the whole matrix at once.
     """
     x = np.asarray(samples, dtype="float64")
     x = x[np.isfinite(x)]
@@ -89,39 +94,89 @@ def gaussian_kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float | None 
     h = bandwidth if bandwidth is not None else std * x.size ** (-1 / 5)
     if h <= 0 or not np.isfinite(h):
         h = 1.0
-    z = (np.asarray(grid, dtype="float64")[:, None] - x[None, :]) / h
-    return norm_pdf(z).mean(axis=1) / h
+    grid = np.asarray(grid, dtype="float64")
+    blocks = np.array_split(grid, max(1, min(grid.size, grid.size * x.size // _KDE_CELLS)))
+    return np.concatenate([norm_pdf((g[:, None] - x[None, :]) / h).mean(axis=1) for g in blocks]) / h
 
 
-def condensed_signs(x: np.ndarray) -> np.ndarray:
-    """Upper-triangle pairwise ``sign(x_i − x_j)`` as int8: ``tau_b``'s input."""
-    iu = np.triu_indices(x.size, k=1)
-    return np.sign(x[:, None] - x[None, :])[iu].astype("int8")
+#: rows × pairs one chunk of ``kendall_taus`` holds per array: its memory bound
+_KENDALL_CELLS = 1 << 14
 
 
-def tau_b(sx: np.ndarray, sy: np.ndarray) -> float:
-    """Kendall's tau-b ``(C − D) / √((P − Tx)(P − Ty))`` from two ``condensed_signs``.
+def kendall_taus(values: np.ndarray) -> np.ndarray:
+    """Kendall's tau-b of every pair of columns of ``values`` (rows × columns),
+    as a matrix with a unit diagonal. Each pair reads the rows where both
+    values are finite (pairwise-complete, as ``pandas.DataFrame.corr``); it
+    is NaN under two such rows or when a side is constant.
 
-    NaN when either side is constant (no untied pair).
+    Knight's O(n log n) method (JASA 61(314), 1966): sort a pair's rows by
+    (x, y), count the pairs tied in x (n1), in y (n2) and in both (n3) from
+    run lengths, and the discordant pairs as the inversions of y; then
+    ``tau-b = (n0 − n1 − n2 + n3 − 2·inversions) / √((n0 − n1)(n0 − n2))``.
+    The pairs run in chunks of about ``_KENDALL_CELLS`` rows × pairs, so
+    memory is bounded by the chunk, not by n².
     """
-    concordant_minus_discordant = float((sx.astype("int32") * sy).sum())
-    denom = np.sqrt(float(np.count_nonzero(sx)) * float(np.count_nonzero(sy)))
-    return concordant_minus_discordant / denom if denom else float("nan")
+    v = np.asarray(values, dtype="float64")
+    n, finite = len(v), np.isfinite(v)
+    left, right = np.triu_indices(v.shape[1], k=1)
+    # dense ranks: the order of the finite values, each below n
+    ranks = np.zeros(v.shape, dtype="int64")
+    for j, column in enumerate(v.T):
+        ranks[:, j] = np.unique(column, return_inverse=True)[1]
+    taus = np.eye(v.shape[1])
+    width = 1 << (n - 1).bit_length()
+    step = max(1, _KENDALL_CELLS // width)
+    for s in range(0, left.size, step):
+        a, b = left[s:s + step], right[s:s + step]
+        ok = (finite[:, a] & finite[:, b]).T
+        # a row with a missing value sorts last, as (n, n); so does the padding
+        key = np.where(ok, ranks[:, a].T * (n + 1) + ranks[:, b].T, (n + 1) ** 2 - 1)
+        key = np.pad(key, ((0, 0), (0, width - n)), constant_values=(n + 1) ** 2 - 1)
+        key.sort(axis=1)
+        x, y = np.divmod(key, n + 1)
+        inversions, y = _merge_count(y)
+        k = ok.sum(axis=1)
+        n0 = k * (k - 1) // 2
+        n1, n2, n3 = (_tied_pairs(t, k) for t in (x, y, key))
+        denom = np.sqrt((n0 - n1).astype("float64") * (n0 - n2))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            tau = np.where(denom > 0, (n0 - n1 - n2 + n3 - 2 * inversions) / denom, np.nan)
+        taus[a, b] = taus[b, a] = tau
+    return taus
+
+
+def _tied_pairs(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Σ t(t − 1)/2 over the runs of equal values in the first ``k[r]`` of
+    each sorted row ``s[r]``: each value counts the equal ones before it."""
+    pos = np.arange(s.shape[1])
+    first = np.maximum.accumulate(np.where(np.diff(s, prepend=-1) != 0, pos, 0), axis=1)
+    return np.where(pos < k[:, None], pos - first, 0).sum(axis=1)
+
+
+def _merge_count(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``y`` (rows × a power of two), the count of ``i < j`` with
+    ``y[i] > y[j]``, and the rows sorted: a bottom-up merge sort.
+
+    Each level merges adjacent sorted runs of width ``w`` with one stable
+    argsort (a timsort, so one merge per pair of runs) over every row at
+    once. A right-run value that lands at ``p`` from index ``w + j`` has
+    ``p − j`` left values before it, so ``order[p] − p`` above it.
+    """
+    rows, width = y.shape
+    count = np.zeros(rows, dtype="int64")
+    w = 1
+    while w < width:
+        runs = y.reshape(-1, 2 * w)
+        order = runs.argsort(axis=1, kind="stable")
+        count += np.where(order >= w, order - np.arange(2 * w), 0).reshape(rows, -1).sum(axis=1)
+        y = np.take_along_axis(runs, order, axis=1).reshape(rows, width)
+        w *= 2
+    return count, y
 
 
 def kendall_tau(x: np.ndarray, y: np.ndarray) -> float:
-    """Kendall's tau-b with tie correction.
-
-    O(n²) via vectorized sign outer-products — callers must cap n (the
-    correlation module samples to ``kendall.sample_size``). Replaces
-    ``scipy.stats.kendalltau``; nan rows are dropped pairwise.
-    """
-    x = np.asarray(x, dtype="float64")
-    y = np.asarray(y, dtype="float64")
-    ok = np.isfinite(x) & np.isfinite(y)
-    if ok.sum() < 2:
-        return float("nan")
-    return tau_b(condensed_signs(x[ok]), condensed_signs(y[ok]))
+    """Kendall's tau-b of ``x`` and ``y``: ``kendall_taus`` of the one pair."""
+    return float(kendall_taus(np.column_stack([x, y]))[0, 1])
 
 
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:

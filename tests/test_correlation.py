@@ -91,12 +91,52 @@ class TestSpearman:
         assert mat.loc["x", "y"] == pytest.approx(1.0)
 
 
+def kendall_oracle(x, y) -> float:
+    """Kendall's tau-b ``(C − D) / √((P − Tx)(P − Ty))`` of ``x`` and ``y``
+    over the rows where both are finite, from every pair's signs: O(k²),
+    the reference the O(k log k) kernel must equal (scipy is not installed)."""
+    x = np.asarray(x, dtype="float64")
+    y = np.asarray(y, dtype="float64")
+    ok = np.isfinite(x) & np.isfinite(y)
+    if ok.sum() < 2:
+        return float("nan")
+    upper = np.triu_indices(int(ok.sum()), k=1)
+    sx = np.sign(x[ok][:, None] - x[ok][None, :])[upper].astype("int8")
+    sy = np.sign(y[ok][:, None] - y[ok][None, :])[upper].astype("int8")
+    concordant_minus_discordant = float((sx.astype("int32") * sy).sum())
+    denom = np.sqrt(float(np.count_nonzero(sx)) * float(np.count_nonzero(sy)))
+    return concordant_minus_discordant / denom if denom else float("nan")
+
+
+def assert_kendall_matches_oracle(pdf: pd.DataFrame, cols: list[str]) -> None:
+    """``kendall_matrix`` is 1 on the diagonal and the pairwise oracle off it, within 1e-12."""
+    mat = kendall_matrix(pdf, cols)
+    assert list(mat.index) == list(mat.columns) == cols
+    for a in cols:
+        for b in cols:
+            want = 1.0 if a == b else kendall_oracle(pdf[a].to_numpy(), pdf[b].to_numpy())
+            assert mat.loc[a, b] == pytest.approx(want, rel=0, abs=1e-12, nan_ok=True), (a, b)
+
+
 class TestKendallMatrix:
     def test_matches_pairwise_kernel(self, clean_pdf):
         mat = kendall_matrix(clean_pdf, ["a", "b", "d"])
         for x, y in (("a", "b"), ("a", "d"), ("b", "d")):
-            ref = numutils.kendall_tau(clean_pdf[x].to_numpy(), clean_pdf[y].to_numpy())
+            ref = kendall_oracle(clean_pdf[x].to_numpy(), clean_pdf[y].to_numpy())
             assert mat.loc[x, y] == pytest.approx(ref, abs=1e-12)
+
+    def test_pairwise_complete_where_complete_case_differs(self):
+        """Each pair reads every row where both of its values are finite, as
+        pandas does, not only the rows complete in every column."""
+        g = np.random.default_rng(7)
+        n = 400
+        x = g.normal(size=n)
+        pdf = pd.DataFrame({"x": x, "y": x + g.normal(size=n), "z": g.normal(size=n)})
+        pdf.loc[pdf["x"] > 0.5, "z"] = np.nan  # the complete rows lose x's top
+        complete = pdf.dropna()
+        gap = abs(kendall_oracle(complete["x"], complete["y"]) - kendall_oracle(pdf["x"], pdf["y"]))
+        assert gap > 0.01
+        assert_kendall_matches_oracle(pdf, ["x", "y", "z"])
 
     def test_fallback_pairwise_under_heavy_missingness(self):
         g = np.random.default_rng(2)
@@ -106,13 +146,70 @@ class TestKendallMatrix:
         pdf.loc[::2, "x"] = np.nan
         pdf.loc[1::2, "y"] = np.nan
         pdf.loc[:20, ["x", "y"]] = g.random((21, 2))
-        mat = kendall_matrix(pdf, ["x", "y"])
-        assert -1 <= mat.loc["x", "y"] <= 1
+        assert_kendall_matches_oracle(pdf, ["x", "y"])
 
     def test_perfect_orderings(self):
         pdf = pd.DataFrame({"x": np.arange(30.0), "y": np.arange(30.0) * 2})
         mat = kendall_matrix(pdf, ["x", "y"])
         assert mat.loc["x", "y"] == pytest.approx(1.0)
+
+    def test_ties(self):
+        g = np.random.default_rng(3)
+        pdf = pd.DataFrame(g.integers(0, 4, size=(300, 3)).astype("float64"), columns=list("abc"))
+        assert_kendall_matches_oracle(pdf, list("abc"))
+
+    def test_nan_and_infinity_are_missing(self):
+        g = np.random.default_rng(4)
+        pdf = pd.DataFrame(np.round(g.normal(size=(200, 3)) * 3), columns=list("abc"))
+        pdf.loc[g.random(200) < 0.2, "a"] = np.nan
+        pdf.loc[[3, 50, 51], "b"] = [np.inf, -np.inf, np.inf]
+        pdf.loc[[7, 9], "c"] = [-np.inf, np.nan]
+        assert_kendall_matches_oracle(pdf, list("abc"))
+
+    def test_constant_and_all_nan_columns(self):
+        g = np.random.default_rng(5)
+        pdf = pd.DataFrame({"x": g.normal(size=50), "k": 3.0, "e": np.nan})
+        mat = kendall_matrix(pdf, ["x", "k", "e"])
+        off = mat.to_numpy()[~np.eye(3, dtype=bool)]
+        assert np.isnan(off).all() and (np.diag(mat.to_numpy()) == 1.0).all()
+        assert_kendall_matches_oracle(pdf, ["x", "k", "e"])
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_rows(self, n):
+        pdf = pd.DataFrame({"x": [1.0, 2.0][:n], "y": [4.0, 3.0][:n]})
+        assert_kendall_matches_oracle(pdf, ["x", "y"])
+
+    def test_one_column(self, clean_pdf):
+        mat = kendall_matrix(clean_pdf, ["a"])
+        assert mat.shape == (1, 1) and mat.loc["a", "a"] == 1.0
+
+    def test_wider_than_one_chunk_of_pairs(self):
+        """More pairs than one chunk holds: every chunk writes its own pairs."""
+        n, m = 300, 12
+        width = 512  # 300 rows padded to a power of two
+        assert m * (m - 1) // 2 > numutils._KENDALL_CELLS // width
+        g = np.random.default_rng(6)
+        pdf = pd.DataFrame(np.round(g.normal(size=(n, m)) * 4), columns=[f"c{i}" for i in range(m)])
+        pdf = pdf.mask(g.random((n, m)) < 0.1)
+        assert_kendall_matches_oracle(pdf, list(pdf.columns))
+
+    @pytest.mark.parametrize("m", [2, 20])
+    def test_memory_is_bounded_by_the_chunk(self, m):
+        """The tracemalloc peak of a 2,000-row sample's matrix stays under
+        4 MB, where every pair's k² signs would take tens of MB."""
+        import tracemalloc
+
+        g = np.random.default_rng(8)
+        pdf = pd.DataFrame(g.normal(size=(2_000, m)), columns=[f"c{i}" for i in range(m)])
+        pdf = pdf.mask(g.random(pdf.shape) < 0.1)
+        cols = list(pdf.columns)
+        tracemalloc.start()
+        try:
+            kendall_matrix(pdf, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 class TestAPI:

@@ -83,6 +83,31 @@ class TestKDE:
         dens = numutils.gaussian_kde(x, np.linspace(0, 4, 50))
         assert np.isfinite(dens).all()
 
+    @pytest.mark.parametrize("n", [1, 7, 5_000, 40_000])
+    def test_grid_blocks_equal_the_one_block_formula(self, n):
+        """Each grid point's mean is the same, bit for bit, as over the whole
+        grid × sample matrix at once, for one block and for many."""
+        x = np.random.default_rng(n).normal(size=n)
+        grid = np.linspace(-4, 4, 100)
+        h = x.std(ddof=1) * n ** (-1 / 5) if n > 1 else 1.0
+        want = numutils.norm_pdf((grid[:, None] - x[None, :]) / h).mean(axis=1) / h
+        np.testing.assert_array_equal(numutils.gaussian_kde(x, grid), want)
+
+    def test_memory_is_bounded_by_the_block(self):
+        """100 grid points over 5,000 values peak under 2 MB, where the
+        whole matrix and its temporaries take 12 MB."""
+        import tracemalloc
+
+        x = np.random.default_rng(0).normal(size=5_000)
+        grid = np.linspace(-4, 4, 100)
+        tracemalloc.start()
+        try:
+            numutils.gaussian_kde(x, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
 
 class TestKendall:
     def test_perfect_concordance(self):

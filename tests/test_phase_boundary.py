@@ -38,9 +38,9 @@ from repro.core import (
 )
 from repro.core.config import Config
 from repro.core.overview import duplicate_rows_pass
-from repro.substrate import numutils
 
 from .test_binning_scan import FRAMES, _mixed
+from .test_correlation import kendall_oracle
 from .test_moments import _tol
 from .test_scan_shape import _jobs
 
@@ -556,12 +556,12 @@ def test_sample_kde_and_kendall_equal_pandas_on_the_same_draw(spark):
         np.testing.assert_allclose(kde["grid"], grid, rtol=1e-15, err_msg=c)
         np.testing.assert_allclose(kde["density"], want, rtol=1e-12, atol=0, err_msg=c)
 
-    complete = draw.head(cfg["kendall.sample_size"]).dropna()
+    sample = draw.head(cfg["kendall.sample_size"])
     kendall = got["correlations"]["kendall"]
     for a in rows.columns:
         for b in rows.columns:
-            if a != b:
-                want = numutils.kendall_tau(complete[a].to_numpy(), complete[b].to_numpy())
+            if a != b:  # pairwise-complete: each pair over its own finite rows
+                want = kendall_oracle(sample[a].to_numpy(), sample[b].to_numpy())
                 assert kendall.loc[a, b] == pytest.approx(want, rel=0, abs=ATOL), (a, b)
     pd.testing.assert_frame_equal(matrix_kendall, kendall, check_exact=True)
 
@@ -827,7 +827,7 @@ def test_correlation_pair_driver_path_equals_distributed_path(request, monkeypat
     np.testing.assert_array_equal(below["scatter"][[a, b]].to_numpy(), _scatter(rows).to_numpy())
     sample = _draw(rows, Config.from_user()["kendall.sample_size"]).dropna()
     if len(sample) >= 2:
-        want = numutils.kendall_tau(sample[a].to_numpy(), sample[b].to_numpy())
+        want = kendall_oracle(sample[a].to_numpy(), sample[b].to_numpy())
         assert below["kendall"] == pytest.approx(want, rel=0, abs=ATOL, nan_ok=True)
     else:
         assert np.isnan(below["kendall"])

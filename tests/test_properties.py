@@ -1,10 +1,13 @@
 """Property-based tests (hypothesis) for the numeric substrate."""
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.substrate import numutils
+
+from .test_correlation import kendall_oracle
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -28,6 +31,21 @@ def test_kendall_bounded_and_self_tau(x):
         assert tau == 1.0
     t2 = numutils.kendall_tau(x, x[::-1].copy())
     assert np.isnan(t2) or -1.0 - 1e-9 <= t2 <= 1.0 + 1e-9
+
+
+tie_heavy = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@given(arrays(np.float64, st.tuples(st.integers(0, 60), st.integers(1, 4)), elements=tie_heavy))
+@settings(max_examples=60, deadline=None)
+def test_kendall_kernel_equals_the_pairwise_oracle(values):
+    """Every pair's tau-b equals the O(k²) oracle on tie-heavy columns with
+    missing values, each pair over its own finite rows."""
+    got = numutils.kendall_taus(values)
+    for a, b in zip(*np.triu_indices(values.shape[1], k=1)):
+        want = kendall_oracle(values[:, a], values[:, b])
+        for tau in (got[a, b], got[b, a]):
+            assert tau == pytest.approx(want, rel=0, abs=1e-12, nan_ok=True)
 
 
 @given(arrays(np.float64, st.integers(2, 20), elements=st.floats(0, 1e6, allow_nan=False)))
